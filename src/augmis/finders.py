@@ -12,12 +12,14 @@ stars, and members of a finite catalogue.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
 
 from .graphs import Graph, bits, is_independent, mask_of, set_of
-from .irreducible import Catalog
+from .irreducible import Catalog, CatalogEntry
+from .patterns import _anchored_order, _Plan, _search
 
 __all__ = [
     "AugCandidate",
@@ -269,34 +271,39 @@ def find_from_catalog(
     Entries are tried smallest first.  An embedding maps entry whites
     into S and entry blacks outside S, preserves adjacency exactly, and
     gives every black image an S-neighbourhood equal to the image of its
-    entry neighbours; blacks are therefore placed only on vertices whose
-    S-degree matches exactly, which prunes hard.
+    entry neighbours; a black of entry degree d is therefore placed only
+    on vertices outside S with exactly d S-neighbours.  Each entry is
+    compiled once per process into a search plan for the shared
+    ``patterns._search`` engine: the plan starts at a black of maximum
+    degree and every later vertex attaches to an already-placed one, so
+    no position branches over all of S or all of V - S.
     """
     s = frozenset(s)
     smask = mask_of(s)
     adj = g.adj
-    full = (1 << g.n) - 1
-    rmask = full & ~smask
-    s_degree = [(adj[v] & smask).bit_count() for v in range(g.n)]
-    avail: dict[int, int] = {}
-    for v in bits(rmask):
-        d = s_degree[v]
-        avail[d] = avail.get(d, 0) + 1
-    n_s = len(s)
+    n = g.n
+    # domain 0 is S; domain 1 + d holds the vertices outside S with
+    # exactly d neighbours in S
+    doms = [smask] + [0] * n
+    for v in bits(((1 << n) - 1) & ~smask):
+        doms[1 + (adj[v] & smask).bit_count()] |= 1 << v
+    sizes = [m.bit_count() for m in doms]
+    g_deg = [m.bit_count() for m in adj]
+    images = [0] * n
 
     for entry in catalog.entries:
-        h = entry.graph
-        hn = h.graph.n
-        if hn > g.n or len(h.white) > n_s:
+        hn, plan, need = _ENTRY_PLANS.get(entry.code) or _compile_entry(entry)
+        if hn > n:
             continue
-        need: dict[int, int] = {}
-        for b in h.black:
-            d = h.graph.degree(b)
-            need[d] = need.get(d, 0) + 1
-        if any(avail.get(d, 0) < c for d, c in need.items()):
-            continue
-        emb = _embed_entry(g, adj, smask, rmask, s_degree, h)
-        if emb is not None:
+        # blacks of an entry that fits have degree < n, so k <= n
+        for k, c in need:
+            if sizes[k] < c:
+                break
+        else:
+            if not _search(plan, adj, g_deg, doms, images, 0, 0):
+                continue
+            h = entry.graph
+            emb = dict(zip(plan.order, images))
             cand = AugCandidate(
                 frozenset(emb[w] for w in h.white),
                 frozenset(emb[b] for b in h.black),
@@ -309,40 +316,18 @@ def find_from_catalog(
     return None
 
 
-def _embed_entry(g, adj, smask, rmask, s_degree, h) -> Optional[dict[int, int]]:
+# Vertex count, compiled plan and per-domain position counts, keyed by
+# entry code (a catalogue entry's graph is the decoding of its code).
+_EntryPlan = tuple[int, _Plan, tuple[tuple[int, int], ...]]
+_ENTRY_PLANS: dict[bytes, _EntryPlan] = {}
+
+
+def _compile_entry(entry: CatalogEntry) -> _EntryPlan:
+    h = entry.graph
     hg = h.graph
-    order = sorted(range(hg.n), key=lambda v: (-hg.degree(v), v))
-    is_black = [v in h.black for v in range(hg.n)]
-    h_sdeg = [hg.degree(v) for v in range(hg.n)]
-    edge_js = []
-    nonedge_js = []
-    for i, v in enumerate(order):
-        e, ne = [], []
-        for j in range(i):
-            (e if hg.has_edge(v, order[j]) else ne).append(j)
-        edge_js.append(tuple(e))
-        nonedge_js.append(tuple(ne))
-
-    images = [0] * hg.n
-
-    def rec(i: int, used: int) -> bool:
-        if i == hg.n:
-            return True
-        q = order[i]
-        cand = (rmask if is_black[q] else smask) & ~used
-        for j in edge_js[i]:
-            cand &= adj[images[j]]
-        for j in nonedge_js[i]:
-            cand &= ~adj[images[j]]
-        want = h_sdeg[q]
-        for v in bits(cand):
-            if is_black[q] and s_degree[v] != want:
-                continue
-            images[i] = v
-            if rec(i + 1, used | 1 << v):
-                return True
-        return False
-
-    if rec(0, 0):
-        return {order[i]: images[i] for i in range(hg.n)}
-    return None
+    dom_of = [1 + hg.degree(v) if v in h.black else 0 for v in range(hg.n)]
+    first = max(sorted(h.black), key=hg.degree)
+    plan = _Plan(hg, _anchored_order(hg, first), dom_of)
+    need = tuple(sorted(Counter(dom_of).items()))
+    compiled = _ENTRY_PLANS[entry.code] = (hg.n, plan, need)
+    return compiled

@@ -8,13 +8,17 @@ comments, so equal graphs serialize to equal bytes.
 Catalogue files: ``c`` header lines recording the vertex bound, filter
 list and census, then one entry per line as ``<n> <code-hex> # <tag>``
 where the hex is the canonical code bytes (self-describing: the code
-decodes back to the graph).
+decodes back to the graph).  The parser checks every entry and the
+census header, so a truncated or edited catalogue is rejected.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 from typing import Optional
 
+from .canonical import canon_code
 from .graphs import Graph
 from .irreducible import (
     Catalog,
@@ -111,16 +115,17 @@ def write_graph(g: Graph, path: str) -> None:
         fh.write(format_dimacs(g))
 
 
+def _format_census(census: dict[int, int]) -> str:
+    return " ".join(f"{n}:{c}" for n, c in sorted(census.items())) or "-"
+
+
 def format_catalog(cat: Catalog) -> str:
     filters = ",".join(str(f) for f in cat.filters) or "-"
-    census = " ".join(
-        f"{n}:{c}" for n, c in sorted(cat.census().items())
-    ) or "-"
     lines = [
         "c augmis catalog v1",
         f"c n_max {cat.max_vertices}",
         f"c filters {filters}",
-        f"c census {census}",
+        f"c census {_format_census(cat.census())}",
     ]
     per_size: dict[int, int] = {}
     for e in cat.entries:
@@ -130,10 +135,35 @@ def format_catalog(cat: Catalog) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_census(fields: list[str], lineno: int) -> dict[int, int]:
+    if fields == ["-"]:
+        return {}
+    census: dict[int, int] = {}
+    for field in fields:
+        size, sep, count = field.partition(":")
+        try:
+            n, c = int(size), int(count)
+        except ValueError:
+            raise GraphFormatError("malformed census header", lineno)
+        if not sep or n in census:
+            raise GraphFormatError("malformed census header", lineno)
+        census[n] = c
+    return census
+
+
 def parse_catalog(text: str) -> Catalog:
+    """Parse and validate a catalogue file.
+
+    Every entry must decode, carry its canonical code, appear once, fit
+    the ``n_max`` header, be irreducible and free of the header filters,
+    and the per-size entry counts must equal the ``census`` header, so a
+    truncated, stale or hand-edited file is rejected, never used.
+    """
     n_max = None
+    census = None
     filters: tuple[Pattern, ...] = ()
-    entries: list[CatalogEntry] = []
+    entries: list[tuple[int, CatalogEntry]] = []
+    seen: set[bytes] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -141,12 +171,20 @@ def parse_catalog(text: str) -> Catalog:
         if line.startswith("c"):
             fields = line.split()
             if len(fields) >= 3 and fields[1] == "n_max":
-                n_max = int(fields[2])
+                try:
+                    n_max = int(fields[2])
+                except ValueError:
+                    raise GraphFormatError("non-numeric n_max header", lineno)
             elif len(fields) >= 3 and fields[1] == "filters":
                 if fields[2] != "-":
-                    filters = tuple(
-                        parse_pattern(t) for t in fields[2].split(",")
-                    )
+                    try:
+                        filters = tuple(
+                            parse_pattern(t) for t in fields[2].split(",")
+                        )
+                    except ValueError:
+                        raise GraphFormatError("malformed filters header", lineno)
+            elif len(fields) >= 3 and fields[1] == "census":
+                census = _parse_census(fields[2:], lineno)
             continue
         fields = line.split()
         if len(fields) < 2:
@@ -156,18 +194,36 @@ def parse_catalog(text: str) -> Catalog:
             code = bytes.fromhex(fields[1])
         except ValueError:
             raise GraphFormatError("malformed catalog entry", lineno)
-        h = decode_catalog_code(code)
+        try:
+            h = decode_catalog_code(code)
+            canonical = canon_code(h.graph.n, h.graph.adj, h.colors())
+        except (IndexError, ValueError):
+            raise GraphFormatError("undecodable catalog code", lineno)
         if h.graph.n != n:
             raise GraphFormatError("entry size disagrees with code", lineno)
-        entries.append(CatalogEntry(code, h))
+        if canonical != code:
+            raise GraphFormatError("catalog code is not canonical", lineno)
+        if code in seen:
+            raise GraphFormatError("duplicate catalog entry", lineno)
+        seen.add(code)
+        entries.append((lineno, CatalogEntry(code, h)))
     if n_max is None:
         raise GraphFormatError("catalog header missing n_max")
-    cat = Catalog(n_max, filters, tuple(entries))
-    for e in cat.entries:
+    if census is None:
+        raise GraphFormatError("catalog header missing census")
+    for lineno, e in entries:
+        if e.graph.graph.n > n_max:
+            raise GraphFormatError("catalog entry above n_max", lineno)
         if not is_irreducible(e.graph):
-            raise GraphFormatError("catalog entry is not irreducible")
+            raise GraphFormatError("catalog entry is not irreducible", lineno)
         if filters and not is_free(e.graph.graph, filters):
-            raise GraphFormatError("catalog entry violates its filters")
+            raise GraphFormatError("catalog entry violates its filters", lineno)
+    cat = Catalog(n_max, filters, tuple(e for _, e in entries))
+    if cat.census() != census:
+        raise GraphFormatError(
+            f"census header {_format_census(census)} disagrees with the "
+            f"entries {_format_census(cat.census())}"
+        )
     return cat
 
 
@@ -177,5 +233,21 @@ def read_catalog(path: str) -> Catalog:
 
 
 def write_catalog(cat: Catalog, path: str) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(format_catalog(cat))
+    """Write ``cat`` to ``path`` atomically.
+
+    The text goes to a temp file in the same directory, is synced, and
+    is then renamed over ``path``, so a crash or a concurrent reader
+    never sees a truncated catalogue.
+    """
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".", prefix=".catalog-", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(format_catalog(cat))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .graphs import Graph, bits
 
@@ -145,17 +145,23 @@ def _as_graph(p: PatternLike) -> Graph:
 # -- compiled search plans ------------------------------------------------
 #
 # A plan fixes the order in which pattern vertices are placed plus, for
-# each position, the earlier positions it must / must not be adjacent to.
+# each position, the earlier positions it must / must not be adjacent to
+# and the index of the host vertex domain its image is drawn from.
+# Uncoloured plans use domain 0 everywhere and search with ``(full,)``;
+# coloured plans (the catalogue finder) map colour classes to domains.
 # The anchored plans pin one automorphism-orbit representative at position
 # 0 so that "is there a copy through vertex v" needs one search per orbit.
 
 
 class _Plan:
-    __slots__ = ("order", "degs", "edge_js", "nonedge_js")
+    __slots__ = ("order", "degs", "dom", "edge_js", "nonedge_js")
 
-    def __init__(self, p: Graph, order: list[int]) -> None:
+    def __init__(
+        self, p: Graph, order: list[int], dom_of: Optional[list[int]] = None
+    ) -> None:
         self.order = tuple(order)
         self.degs = tuple(p.degree(v) for v in order)
+        self.dom = tuple(dom_of[v] if dom_of else 0 for v in order)
         edge_js, nonedge_js = [], []
         for i, v in enumerate(order):
             e, ne = [], []
@@ -257,20 +263,27 @@ def _search(
     plan: _Plan,
     g_adj: tuple[int, ...],
     g_deg: list[int],
-    full: int,
+    doms: Sequence[int],
     images: list[int],
     start: int,
     used: int,
 ) -> bool:
+    """Extend ``images[:start]`` to a full induced embedding of the plan.
+
+    Position i draws its image from ``doms[plan.dom[i]]`` minus the host
+    vertices already ``used``; on success ``images`` holds the embedding
+    in plan order.
+    """
     order_len = len(plan.order)
     if start == order_len:
         return True
     degs = plan.degs
+    dom = plan.dom
     edge_js = plan.edge_js
     nonedge_js = plan.nonedge_js
 
     def candidates(i: int, used: int) -> int:
-        cand = full & ~used
+        cand = doms[dom[i]] & ~used
         for j in edge_js[i]:
             cand &= g_adj[images[j]]
         for j in nonedge_js[i]:
@@ -320,7 +333,7 @@ def find_induced(g: Graph, pattern: PatternLike) -> Optional[dict[int, int]]:
     plan = _compile(p).generic
     g_deg = [m.bit_count() for m in g.adj]
     images = [0] * p.n
-    if _search(plan, g.adj, g_deg, (1 << g.n) - 1, images, 0, 0):
+    if _search(plan, g.adj, g_deg, ((1 << g.n) - 1,), images, 0, 0):
         return {plan.order[i]: images[i] for i in range(p.n)}
     return None
 
@@ -335,13 +348,13 @@ def _contains_anchored(
     """True iff some induced copy of the compiled pattern contains anchor."""
     if compiled.n > n:
         return False
-    full = (1 << n) - 1
+    doms = ((1 << n) - 1,)
     images = [0] * compiled.n
     for plan in compiled.anchored:
         if g_deg[anchor] < plan.degs[0]:
             continue
         images[0] = anchor
-        if _search(plan, g_adj, g_deg, full, images, 1, 1 << anchor):
+        if _search(plan, g_adj, g_deg, doms, images, 1, 1 << anchor):
             return True
     return False
 

@@ -108,7 +108,8 @@ def default_catalog(cfg: SolveConfig) -> Catalog:
     Filters exclude the two shapes the other finders already cover (long
     paths via P(8), large star extensions via T(p+2)) plus the class
     biclique.  Results are memoised per process and, when the directory
-    named by AUGMIS_CATALOG_DIR exists or can be created, cached on disk.
+    named by AUGMIS_CATALOG_DIR exists or can be created, cached on disk;
+    the cache file is replaced atomically and validated when read back.
     """
     filters = (
         Pattern("P", (8,)),

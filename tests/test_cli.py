@@ -91,6 +91,18 @@ def test_solve_with_catalog_file(tmp_path, capsys):
     assert json.loads(out)["alpha"] == 3
 
 
+def test_solve_with_malformed_catalog_file(tmp_path, capsys):
+    cat = tmp_path / "bad.txt"
+    cat.write_text(
+        "c augmis catalog v1\nc n_max 7\nc filters -\nc census 7:1\n"
+        "7 07ab # n7-1\n"
+    )
+    code, out, err = run(capsys, "solve", "P5", "--catalog", str(cat))
+    assert code == 1
+    assert out == ""
+    assert "error" in err and "line 5" in err and "Traceback" not in err
+
+
 def test_verify_lemmas_quick(capsys):
     code, out, _ = run(capsys, "verify", "--lemma", "path-or-cycle", "--n-max", "9", "--json")
     assert code == 0

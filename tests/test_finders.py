@@ -3,7 +3,8 @@
 The path oracle re-decides existence from the definition: enumerate all
 (whites, blacks) pairs, keep the augmenting ones whose induced subgraph
 is a path.  The catalogue oracle enumerates all small augmenting vertex
-pairs regardless of shape.
+pairs regardless of shape; the catalogue finder is also compared, entry
+by entry, with a plain per-entry backtracker kept here as a reference.
 """
 
 from itertools import combinations
@@ -28,7 +29,10 @@ from augmis import (
     path_graph,
     subdivided_star,
 )
+import augmis.finders as finders
 from augmis.finders import ClassViolationWarning
+from augmis.irreducible import Catalog
+from augmis.graphs import bits, mask_of
 from conftest import graphs_st
 
 
@@ -221,3 +225,108 @@ def test_finders_are_deterministic():
         lambda: find_from_catalog(g, s, cat),
     ):
         assert finder() == finder()
+
+
+def reference_embed_entry(g, smask, h):
+    """Embedding of catalogue entry ``h`` as an augmenting subgraph of
+    (g, S), or None: degree-ordered backtracking, blacks restricted to
+    vertices outside S whose S-degree equals their entry degree."""
+    adj = g.adj
+    rmask = ((1 << g.n) - 1) & ~smask
+    s_degree = [(adj[v] & smask).bit_count() for v in range(g.n)]
+    hg = h.graph
+    order = sorted(range(hg.n), key=lambda v: (-hg.degree(v), v))
+    is_black = [v in h.black for v in range(hg.n)]
+    edge_js = []
+    nonedge_js = []
+    for i, v in enumerate(order):
+        e, ne = [], []
+        for j in range(i):
+            (e if hg.has_edge(v, order[j]) else ne).append(j)
+        edge_js.append(tuple(e))
+        nonedge_js.append(tuple(ne))
+    images = [0] * hg.n
+
+    def rec(i, used):
+        if i == hg.n:
+            return True
+        q = order[i]
+        cand = (rmask if is_black[q] else smask) & ~used
+        for j in edge_js[i]:
+            cand &= adj[images[j]]
+        for j in nonedge_js[i]:
+            cand &= ~adj[images[j]]
+        for v in bits(cand):
+            if is_black[q] and s_degree[v] != hg.degree(q):
+                continue
+            images[i] = v
+            if rec(i + 1, used | 1 << v):
+                return True
+        return False
+
+    if rec(0, 0):
+        return {order[i]: images[i] for i in range(hg.n)}
+    return None
+
+
+def test_catalog_finder_matches_reference_backtracker(solver_catalog9):
+    class_pats = [Pattern("S", (1, 1, 3)), Pattern("K", (3, 3))]
+    singles = [
+        Catalog(9, solver_catalog9.filters, (e,))
+        for e in solver_catalog9.entries
+    ]
+    hits = misses = 0
+    for n in range(10, 15):
+        for seed in range(6):
+            g = gen_free_random(n, 0.3, class_pats, 100 * n + seed)
+            greedy = greedy_initial(g)
+            for s in (greedy, greedy - {min(greedy)}):
+                smask = mask_of(s)
+                first = None
+                for entry, single in zip(solver_catalog9.entries, singles):
+                    want = reference_embed_entry(g, smask, entry.graph)
+                    got = find_from_catalog(g, s, single)
+                    assert (got is None) == (want is None), entry.code.hex()
+                    if got is None:
+                        misses += 1
+                        continue
+                    assert is_augmenting(g, s, got)
+                    hits += 1
+                    first = first or entry.code
+                # both scan entries in catalogue order, so the whole
+                # catalogue returns the first entry that embeds
+                got = find_from_catalog(g, s, solver_catalog9)
+                assert (got and got.detail) == first
+    assert hits and misses
+
+
+def test_catalog_plans_compile_once(monkeypatch, solver_catalog9):
+    compiled = []
+    real_plan = finders._Plan
+
+    def counting_plan(*args):
+        plan = real_plan(*args)
+        compiled.append(plan)
+        return plan
+
+    monkeypatch.setattr(finders, "_ENTRY_PLANS", {})
+    monkeypatch.setattr(finders, "_Plan", counting_plan)
+    class_pats = [Pattern("S", (1, 1, 3)), Pattern("K", (3, 3))]
+    graphs = [gen_free_random(12, 0.3, class_pats, seed) for seed in range(4)]
+    for _ in range(2):
+        for g in graphs:
+            find_from_catalog(g, greedy_initial(g), solver_catalog9)
+    assert compiled
+    assert len(compiled) == len(finders._ENTRY_PLANS) <= len(solver_catalog9)
+    # each compiled plan starts at a black of maximum degree and every
+    # later vertex attaches to an already-placed one
+    for entry in solver_catalog9.entries:
+        hit = finders._ENTRY_PLANS.get(entry.code)
+        if hit is None:
+            continue
+        _, plan, _ = hit
+        h = entry.graph
+        first = plan.order[0]
+        assert first in h.black
+        assert h.graph.degree(first) == max(h.graph.degree(b) for b in h.black)
+        assert all(plan.edge_js[i] for i in range(1, len(plan.order)))
