@@ -10,11 +10,11 @@ import sys
 import time
 
 from augmis import (
-    Pattern,
     SolveConfig,
     bipartite_ramsey_search,
     brute_force_mis,
-    enumerate_irreducible,
+    complete_bipartite,
+    default_catalog,
     solve_mis,
     verify_min_classes,
 )
@@ -43,9 +43,8 @@ def main() -> int:
         print(f"{name:<22} {'ok' if ok else 'VIOLATION':<10} {time.time() - t0:6.1f}s")
         return out
 
-    cat = enumerate_irreducible(
-        n_cat, (Pattern("P", (8,)), Pattern("T", (5,)), Pattern("K", (3, 3)))
-    )
+    cfg = SolveConfig(p=3, catalog_n_max=n_cat)
+    cat = default_catalog(cfg)
     census = " ".join(f"{n}:{c}" for n, c in sorted(cat.census().items()))
     print(f"catalogue n<={n_cat}      {len(cat)} entries   census {census}")
 
@@ -60,10 +59,7 @@ def main() -> int:
           f"({res.graphs_checked} graphs examined)")
 
     # greedy grabs the star centre first, so augmentations must fire
-    from augmis import complete_bipartite
-
     g = complete_bipartite(1, 6)
-    cfg = SolveConfig(p=3, catalog_n_max=n_cat)
     solved = solve_mis(g, cfg, cat)
     oracle = brute_force_mis(g)
     agree = solved.alpha == oracle.alpha

@@ -40,13 +40,14 @@ from .irreducible import (
     enumerate_irreducible,
     verify_min_classes,
 )
-from .patterns import (
-    complete_graph,
-    cycle_graph,
-    parse_pattern,
-    path_graph,
+from .patterns import parse_pattern
+from .solver import (
+    SolveConfig,
+    brute_force_mis,
+    catalog_covers,
+    default_catalog,
+    solve_mis,
 )
-from .solver import SolveConfig, brute_force_mis, default_catalog, solve_mis
 from .verify import (
     verify_extension_bound,
     verify_path_or_cycle,
@@ -64,23 +65,13 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-_NAMED_GRAPH = re.compile(r"^(P|C|K|S|T)(\d+(?:x\d+)*)$")
-
-
 def _load_graph(spec: str) -> Graph:
     if os.path.exists(spec):
         return read_graph(spec)
-    m = _NAMED_GRAPH.match(spec)
-    if not m:
-        raise _CliError(f"no such file and not a named graph: {spec!r}")
-    kind, params = m.group(1), [int(t) for t in m.group(2).split("x")]
-    if kind == "K" and len(params) == 1:
-        return complete_graph(params[0])
-    if kind == "P" and len(params) == 1:
-        return path_graph(params[0])
-    if kind == "C" and len(params) == 1:
-        return cycle_graph(params[0])
-    return parse_pattern(spec).build()
+    try:
+        return parse_pattern(spec).build()
+    except ValueError as exc:
+        raise _CliError(f"{spec!r} is neither a file nor a named graph: {exc}")
 
 
 def _parse_filters(text: str) -> tuple:
@@ -108,7 +99,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         catalog_n_max=args.catalog_n_max,
         validate_class=args.validate_class,
     )
-    catalog = read_catalog(args.catalog) if args.catalog else default_catalog(cfg)
+    if args.catalog:
+        catalog = read_catalog(args.catalog)
+        if not catalog_covers(catalog, cfg):
+            raise _CliError(
+                f"catalogue {args.catalog} (n_max {catalog.max_vertices}, "
+                f"filters {','.join(map(str, catalog.filters)) or '-'}) does "
+                f"not cover --catalog-n-max {cfg.catalog_n_max} --p {cfg.p}"
+            )
+    else:
+        catalog = default_catalog(cfg)
     import warnings
 
     with warnings.catch_warnings():

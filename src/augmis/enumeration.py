@@ -1,7 +1,12 @@
 """Exhaustive generation of small graphs, one per isomorphism class.
 
-Generation is by vertex extension with canonical-code deduplication at
-every level.  Completeness rests on two facts:
+All three generators run one level-wise loop, ``_grow``: each level is a
+dict from canonical code to the first representative seen, the children
+of every representative are formed by adding ``step`` fresh vertices,
+and a child is kept when it passes the generator's shape check and has
+no induced filter pattern through a fresh vertex.  The generators differ
+only in their seeds, their step and how they attach the fresh vertices.
+Completeness rests on two facts:
 
 * every connected graph on n >= 2 vertices has a non-cut vertex, so the
   connected graphs on n arise from those on n-1 by attaching one vertex
@@ -17,55 +22,67 @@ against copies through the vertices it just gained.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .canonical import canon_code
-from .graphs import Graph, bits
+from .graphs import Graph, component_mask, two_colouring
 from .patterns import PatternLike, _as_graph, _compile, _contains_anchored
 
 __all__ = ["grow_graphs", "grow_bicolored_raw", "grow_balanced_bicolored_raw"]
 
-
-def _is_bipartite_masks(n: int, adj: Sequence[int]) -> bool:
-    seen = 0
-    for v in range(n):
-        b = 1 << v
-        if seen & b:
-            continue
-        side0, side1 = b, 0
-        frontier = b
-        seen |= b
-        on0 = True
-        while frontier:
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= adj[u]
-            if on0:
-                if nxt & side0:
-                    return False
-                side1 |= nxt
-            else:
-                if nxt & side1:
-                    return False
-                side0 |= nxt
-            frontier = nxt & ~seen
-            seen |= nxt
-            on0 = not on0
-    return True
+Adj = tuple[int, ...]
+Cols = Optional[tuple[int, ...]]
+Raw = tuple[int, Adj, Cols]
 
 
-def _is_connected_masks(n: int, adj: Sequence[int]) -> bool:
-    if n == 0:
+def _grow(
+    n_max: int,
+    seeds: Iterable[tuple[Adj, Cols]],
+    step: int,
+    children: Callable[[Adj, Cols], Iterator[tuple[Adj, Cols]]],
+    shape: Optional[Callable[[int, Adj], bool]],
+    free_of: Sequence[PatternLike],
+) -> Iterator[Raw]:
+    """Level-wise growth with canonical-code dedup per level.
+
+    ``seeds`` are single-vertex graphs.  Each level is yielded in
+    ascending canonical-code order; the seed level is yielded whatever
+    ``n_max`` is.
+    """
+    checks = [_compile(_as_graph(p)) for p in free_of]
+
+    def keep(n: int, adj: Adj, fresh: range) -> bool:
+        if shape is not None and not shape(n, adj):
+            return False
+        if checks:
+            deg = [m.bit_count() for m in adj]
+            for c in checks:
+                for v in fresh:
+                    if _contains_anchored(n, adj, deg, c, v):
+                        return False
         return True
-    comp = 0
-    frontier = 1
-    while frontier:
-        comp |= frontier
-        nxt = 0
-        for u in bits(frontier):
-            nxt |= adj[u]
-        frontier = nxt & ~comp
-    return comp == (1 << n) - 1
+
+    n = 1
+    level: dict[bytes, tuple[Adj, Cols]] = {}
+    for adj, cols in seeds:
+        if keep(1, adj, range(1)):
+            level[canon_code(1, adj, cols)] = (adj, cols)
+    while True:
+        for code in sorted(level):
+            adj, cols = level[code]
+            yield n, adj, cols
+        n += step
+        if n > n_max:
+            return
+        fresh = range(n - step, n)
+        nxt: dict[bytes, tuple[Adj, Cols]] = {}
+        for padj, pcols in level.values():
+            for adj, cols in children(padj, pcols):
+                if keep(n, adj, fresh):
+                    code = canon_code(n, adj, cols)
+                    if code not in nxt:
+                        nxt[code] = (adj, cols)
+        level = nxt
 
 
 def grow_graphs(
@@ -80,163 +97,89 @@ def grow_graphs(
     no induced copy of any pattern in ``free_of``.  Yields levels in
     ascending vertex count, each level in ascending canonical-code order.
     """
-    checks = [_compile(_as_graph(p)) for p in free_of]
 
-    def passes(n: int, adj: tuple[int, ...], fresh: tuple[int, ...]) -> bool:
-        if bipartite and not _is_bipartite_masks(n, adj):
-            return False
-        if checks:
-            deg = [m.bit_count() for m in adj]
-            for c in checks:
-                for v in fresh:
-                    if _contains_anchored(n, adj, deg, c, v):
-                        return False
-        return True
-
-    seed = (0,)
-    if not passes(1, seed, (0,)):
-        return
-    level: dict[bytes, tuple[int, ...]] = {canon_code(1, seed): seed}
-    yield Graph.from_masks(1, seed)
-    for n in range(2, n_max + 1):
-        nxt: dict[bytes, tuple[int, ...]] = {}
-        pn = n - 1
+    def children(padj: Adj, _: Cols) -> Iterator[tuple[Adj, Cols]]:
+        pn = len(padj)
         new_bit = 1 << pn
-        for padj in level.values():
-            for mask in range(1, 1 << pn):
-                child = tuple(
-                    padj[i] | new_bit if mask >> i & 1 else padj[i]
-                    for i in range(pn)
-                ) + (mask,)
-                if not passes(n, child, (pn,)):
-                    continue
-                code = canon_code(n, child)
-                if code not in nxt:
-                    nxt[code] = child
-        level = nxt
-        for code in sorted(level):
-            yield Graph.from_masks(n, level[code])
+        for mask in range(1, 1 << pn):
+            yield tuple(
+                padj[i] | new_bit if mask >> i & 1 else padj[i]
+                for i in range(pn)
+            ) + (mask,), None
+
+    def is_bipartite(n: int, adj: Adj) -> bool:
+        return two_colouring(n, adj) is not None
+
+    shape = is_bipartite if bipartite else None
+    for n, adj, _ in _grow(n_max, [((0,), None)], 1, children, shape, free_of):
+        yield Graph.from_masks(n, adj)
 
 
-def grow_bicolored_raw(
-    n_max: int,
-    *,
-    free_of: Sequence[PatternLike] = (),
-) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+def grow_bicolored_raw(n_max: int) -> Iterator[Raw]:
     """All two-coloured bipartite graphs with <= n_max vertices.
 
     Colour 0 is white, colour 1 black; edges only join opposite colours.
     Disconnected graphs included.  Yields raw (n, adjacency masks,
     colours) triples, one per colour-preserving isomorphism class.
     """
-    checks = [_compile(_as_graph(p)) for p in free_of]
 
-    def passes(n: int, adj: tuple[int, ...], fresh: int) -> bool:
-        if checks:
-            deg = [m.bit_count() for m in adj]
-            for c in checks:
-                if _contains_anchored(n, adj, deg, c, fresh):
-                    return False
-        return True
-
-    level: dict[bytes, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    for col in (0, 1):
-        if passes(1, (0,), 0):
-            level[canon_code(1, (0,), (col,))] = ((0,), (col,))
-    for code in sorted(level):
-        adj, cols = level[code]
-        yield 1, adj, cols
-    for n in range(2, n_max + 1):
-        nxt: dict[bytes, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        pn = n - 1
+    def children(padj: Adj, pcols: Cols) -> Iterator[tuple[Adj, Cols]]:
+        pn = len(padj)
         new_bit = 1 << pn
-        for padj, pcols in level.values():
-            for col in (0, 1):
-                opposite = sum(
-                    1 << v for v in range(pn) if pcols[v] != col
-                )
-                sub = opposite
-                while True:
-                    child = tuple(
-                        padj[i] | new_bit if sub >> i & 1 else padj[i]
-                        for i in range(pn)
-                    ) + (sub,)
-                    ccols = pcols + (col,)
-                    if passes(n, child, pn):
-                        code = canon_code(n, child, ccols)
-                        if code not in nxt:
-                            nxt[code] = (child, ccols)
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & opposite
-        level = nxt
-        for code in sorted(level):
-            adj, cols = level[code]
-            yield n, adj, cols
+        for col in (0, 1):
+            opposite = sum(1 << v for v in range(pn) if pcols[v] != col)
+            sub = opposite
+            while True:
+                yield tuple(
+                    padj[i] | new_bit if sub >> i & 1 else padj[i]
+                    for i in range(pn)
+                ) + (sub,), pcols + (col,)
+                if sub == 0:
+                    break
+                sub = (sub - 1) & opposite
+
+    seeds = [((0,), (0,)), ((0,), (1,))]
+    return _grow(n_max, seeds, 1, children, None, ())
 
 
 def grow_balanced_bicolored_raw(
     n_max: int,
     free_of: Sequence[PatternLike] = (),
-) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+) -> Iterator[Raw]:
     """Connected two-coloured bipartite graphs with one more black than
     white vertex, up to n_max vertices, one per colour-preserving class.
 
     Grows by adding a (white, black) pair per step; levels are the odd
     vertex counts.  Yields raw (n, adjacency masks, colours) triples.
     """
-    checks = [_compile(_as_graph(p)) for p in free_of]
 
-    def passes(n: int, adj: tuple[int, ...], fresh: tuple[int, int]) -> bool:
-        if not _is_connected_masks(n, adj):
-            return False
-        if checks:
-            deg = [m.bit_count() for m in adj]
-            for c in checks:
-                for v in fresh:
-                    if _contains_anchored(n, adj, deg, c, v):
-                        return False
-        return True
-
-    seed_adj, seed_cols = (0,), (1,)
-    level: dict[bytes, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    if passes(1, seed_adj, (0, 0)):
-        level[canon_code(1, seed_adj, seed_cols)] = (seed_adj, seed_cols)
-        yield 1, seed_adj, seed_cols
-    n = 1
-    while n + 2 <= n_max:
-        n += 2
-        pn = n - 2
+    def children(padj: Adj, pcols: Cols) -> Iterator[tuple[Adj, Cols]]:
+        pn = len(padj)
         w_ix, b_ix = pn, pn + 1
-        nxt: dict[bytes, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        for padj, pcols in level.values():
-            old_whites = sum(1 << v for v in range(pn) if pcols[v] == 0)
-            old_blacks = sum(1 << v for v in range(pn) if pcols[v] == 1)
-            ccols = pcols + (0, 1)
-            wmask = old_blacks
+        old_whites = sum(1 << v for v in range(pn) if pcols[v] == 0)
+        old_blacks = sum(1 << v for v in range(pn) if pcols[v] == 1)
+        ccols = pcols + (0, 1)
+        wmask = old_blacks
+        while True:
+            bmask = old_whites
             while True:
-                bmask = old_whites
-                while True:
-                    for wb in (0, 1):
-                        w_row = wmask | (wb << b_ix)
-                        b_row = bmask | (wb << w_ix)
-                        child = tuple(
-                            padj[i]
-                            | ((wmask >> i & 1) << w_ix)
-                            | ((bmask >> i & 1) << b_ix)
-                            for i in range(pn)
-                        ) + (w_row, b_row)
-                        if passes(n, child, (w_ix, b_ix)):
-                            code = canon_code(n, child, ccols)
-                            if code not in nxt:
-                                nxt[code] = (child, ccols)
-                    if bmask == 0:
-                        break
-                    bmask = (bmask - 1) & old_whites
-                if wmask == 0:
+                for wb in (0, 1):
+                    w_row = wmask | (wb << b_ix)
+                    b_row = bmask | (wb << w_ix)
+                    yield tuple(
+                        padj[i]
+                        | ((wmask >> i & 1) << w_ix)
+                        | ((bmask >> i & 1) << b_ix)
+                        for i in range(pn)
+                    ) + (w_row, b_row), ccols
+                if bmask == 0:
                     break
-                wmask = (wmask - 1) & old_blacks
-        level = nxt
-        for code in sorted(level):
-            adj, cols = level[code]
-            yield n, adj, cols
+                bmask = (bmask - 1) & old_whites
+            if wmask == 0:
+                break
+            wmask = (wmask - 1) & old_blacks
+
+    def is_connected(n: int, adj: Adj) -> bool:
+        return component_mask(adj, 0) == (1 << n) - 1
+
+    return _grow(n_max, [((0,), (1,))], 2, children, is_connected, free_of)

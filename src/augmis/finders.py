@@ -83,18 +83,16 @@ def is_augmenting(g: Graph, s: Iterable[int], cand: AugCandidate) -> bool:
     return True
 
 
-def find_augmenting_path(
-    g: Graph, s: Iterable[int], max_len: Optional[int] = None
-) -> Optional[AugCandidate]:
+def find_augmenting_path(g: Graph, s: Iterable[int]) -> Optional[AugCandidate]:
     """An augmenting chordless alternating path, or None.
 
     The path runs b0 w1 b1 ... wk bk with blacks outside S and whites
     inside, every black's S-neighbours on the path, and no chords; the
     degenerate k=0 case is a single black vertex with no S-neighbour.
-    ``max_len`` caps the edge length (an even number); None means
-    exhaustive.  Exact backtracking: endpoint blacks may have at most one
-    S-neighbour, inner blacks exactly two, and induced-ness is maintained
-    incrementally, which prunes without losing any path.
+    The search is exhaustive, with no length cap.  Exact backtracking:
+    endpoint blacks may have at most one S-neighbour, inner blacks exactly
+    two, and induced-ness is maintained incrementally, which prunes
+    without losing any path.
     """
     smask = mask_of(s)
     adj = g.adj
@@ -112,8 +110,6 @@ def find_augmenting_path(
         w = pending.bit_length() - 1
         if adj[w] & bmask != 1 << cur:
             return None  # w would chord an earlier black
-        if max_len is not None and 2 * (wmask.bit_count() + 1) > max_len:
-            return None
         wmask2 = wmask | pending
         used = wmask2 | bmask
         for nb in bits(adj[w] & rmask & ~used):

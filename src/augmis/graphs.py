@@ -22,6 +22,8 @@ __all__ = [
     "restricted_neighbourhood",
     "induced_subgraph",
     "is_independent",
+    "component_mask",
+    "two_colouring",
     "connected_components",
     "bipartition",
 ]
@@ -198,35 +200,28 @@ def is_independent(g: Graph, xs: Iterable[int]) -> bool:
     return True
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Maximal connected vertex sets, sorted by minimum member."""
-    out: list[frozenset[int]] = []
-    seen = 0
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 0
-        frontier = 1 << v
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~comp
-        seen |= comp
-        out.append(set_of(comp))
-    return out
+def component_mask(adj: Sequence[int], v: int) -> int:
+    """Bitmask of the connected component of ``v`` in adjacency ``adj``."""
+    comp = 0
+    frontier = 1 << v
+    while frontier:
+        comp |= frontier
+        nxt = 0
+        for u in bits(frontier):
+            nxt |= adj[u]
+        frontier = nxt & ~comp
+    return comp
 
 
-def bipartition(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
-    """A proper 2-colouring, or None if some component has an odd cycle.
+def two_colouring(n: int, adj: Sequence[int]) -> Optional[tuple[int, int]]:
+    """Side bitmasks of a proper 2-colouring, or None on an odd cycle.
 
-    Canonical side choice: in each component the side containing the
-    smallest vertex id goes first.
+    In each component the side containing the smallest vertex id is
+    merged into the first mask.
     """
     side0 = side1 = 0
     seen = 0
-    for v in range(g.n):
+    for v in range(n):
         b = 1 << v
         if seen & b:
             continue
@@ -237,7 +232,7 @@ def bipartition(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
         while frontier:
             nxt = 0
             for u in bits(frontier):
-                nxt |= g.adj[u]
+                nxt |= adj[u]
             if on0:
                 if nxt & comp0:
                     return None
@@ -251,4 +246,28 @@ def bipartition(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
             on0 = not on0
         side0 |= comp0
         side1 |= comp1
-    return set_of(side0), set_of(side1)
+    return side0, side1
+
+
+def connected_components(g: Graph) -> list[frozenset[int]]:
+    """Maximal connected vertex sets, sorted by minimum member."""
+    out: list[frozenset[int]] = []
+    seen = 0
+    for v in range(g.n):
+        if not seen >> v & 1:
+            comp = component_mask(g.adj, v)
+            seen |= comp
+            out.append(set_of(comp))
+    return out
+
+
+def bipartition(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
+    """A proper 2-colouring, or None if some component has an odd cycle.
+
+    Canonical side choice: in each component the side containing the
+    smallest vertex id goes first.
+    """
+    sides = two_colouring(g.n, g.adj)
+    if sides is None:
+        return None
+    return set_of(sides[0]), set_of(sides[1])

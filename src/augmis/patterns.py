@@ -84,11 +84,11 @@ def subdivided_star(k: int) -> Graph:
     return Graph(2 * k + 1, edges)
 
 
-_ARITY = {"P": 1, "C": 1, "K": 2, "S": 3, "T": 1}
+_ARITY = {"P": (1,), "C": (1,), "K": (1, 2), "S": (3,), "T": (1,)}
 _BUILDERS = {
     "P": lambda p: path_graph(*p),
     "C": lambda p: cycle_graph(*p),
-    "K": lambda p: complete_bipartite(*p),
+    "K": lambda p: complete_graph(*p) if len(p) == 1 else complete_bipartite(*p),
     "S": lambda p: spider(*p),
     "T": lambda p: subdivided_star(*p),
 }
@@ -96,7 +96,11 @@ _BUILDERS = {
 
 @dataclass(frozen=True)
 class Pattern:
-    """A named forbidden-subgraph template, e.g. P(8), K(3,3), S(1,1,3)."""
+    """A named graph template, e.g. P(8), K(4), K(3,3), S(1,1,3).
+
+    ``K`` with one parameter is the complete graph, with two the complete
+    bipartite graph.
+    """
 
     kind: str
     params: tuple[int, ...]
@@ -104,10 +108,10 @@ class Pattern:
     def __post_init__(self) -> None:
         if self.kind not in _ARITY:
             raise ValueError(f"unknown pattern kind {self.kind!r}")
-        if len(self.params) != _ARITY[self.kind]:
-            raise ValueError(
-                f"pattern {self.kind} takes {_ARITY[self.kind]} parameter(s)"
-            )
+        arity = _ARITY[self.kind]
+        if len(self.params) not in arity:
+            counts = " or ".join(str(a) for a in arity)
+            raise ValueError(f"pattern {self.kind} takes {counts} parameter(s)")
         if any(p < 1 for p in self.params):
             raise ValueError("pattern parameters must be positive")
         _BUILDERS[self.kind](self.params)  # reject e.g. C2 early
@@ -128,7 +132,7 @@ _PATTERN_RE = re.compile(r"^([PCKST])(\d+(?:x\d+)*)$")
 
 
 def parse_pattern(text: str) -> Pattern:
-    """Parse compact pattern syntax: P8, C6, K3x3, S1x1x3, T4."""
+    """Parse compact pattern syntax: P8, C6, K4, K3x3, S1x1x3, T4."""
     m = _PATTERN_RE.match(text.strip())
     if not m:
         raise ValueError(f"cannot parse pattern {text!r}")

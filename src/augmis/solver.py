@@ -38,32 +38,33 @@ __all__ = [
     "brute_force_mis",
     "MisResult",
     "default_catalog",
+    "catalog_covers",
     "class_patterns",
     "CATALOG_DIR_ENV",
 ]
 
 CATALOG_DIR_ENV = "AUGMIS_CATALOG_DIR"
 
-_FINDERS = ("path", "tree", "catalog")
-
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Knobs for one solve; defaults target the p=3 class at desk scale."""
+    """Settings of one solve; defaults target the p=3 class at desk scale.
+
+    ``p`` is the class parameter (the forbidden biclique is K(p,p)).
+    ``catalog_n_max`` is the largest irreducible augmenting graph, in
+    vertices, the catalogue finder looks for.  ``validate_class`` checks
+    the input against the class patterns first.
+    """
 
     p: int = 3
     catalog_n_max: int = 9
-    path_max_len: Optional[int] = None
     validate_class: bool = False
-    finder_order: tuple[str, ...] = _FINDERS
 
     def __post_init__(self) -> None:
         if self.p < 2:
             raise ValueError("class parameter p must be at least 2")
         if self.catalog_n_max < 3:
             raise ValueError("catalog bound must be at least 3")
-        if sorted(self.finder_order) != sorted(_FINDERS):
-            raise ValueError(f"finder_order must permute {_FINDERS}")
 
 
 @dataclass(frozen=True)
@@ -102,20 +103,33 @@ def augment(g: Graph, s: Iterable[int], cand: AugCandidate) -> frozenset[int]:
 _CATALOG_MEMO: dict[tuple[int, tuple[Pattern, ...]], Catalog] = {}
 
 
+def _default_filters(p: int) -> tuple[Pattern, ...]:
+    """Filters of the default catalogue for class parameter p."""
+    return Pattern("P", (8,)), Pattern("T", (p + 2,)), Pattern("K", (p, p))
+
+
+def catalog_covers(cat: Catalog, cfg: SolveConfig) -> bool:
+    """True iff ``cat`` holds every entry ``default_catalog(cfg)`` holds.
+
+    That is the case when its vertex bound reaches ``cfg.catalog_n_max``
+    and it was built with no filter beyond the default ones.
+    """
+    return cat.max_vertices >= cfg.catalog_n_max and set(cat.filters) <= set(
+        _default_filters(cfg.p)
+    )
+
+
 def default_catalog(cfg: SolveConfig) -> Catalog:
     """Catalogue of irreducible graphs the solver needs for ``cfg``.
 
-    Filters exclude the two shapes the other finders already cover (long
-    paths via P(8), large star extensions via T(p+2)) plus the class
-    biclique.  Results are memoised per process and, when the directory
-    named by AUGMIS_CATALOG_DIR exists or can be created, cached on disk;
-    the cache file is replaced atomically and validated when read back.
+    Its filters exclude the two shapes the other finders already cover
+    (long paths via P(8), large star extensions via T(p+2)) plus the class
+    biclique K(p,p).  Results are memoised per process and, when the
+    directory named by AUGMIS_CATALOG_DIR exists or can be created,
+    cached on disk.  The cache file is replaced atomically; when read back
+    it is validated, and rebuilt and rewritten unless it covers ``cfg``.
     """
-    filters = (
-        Pattern("P", (8,)),
-        Pattern("T", (cfg.p + 2,)),
-        Pattern("K", (cfg.p, cfg.p)),
-    )
+    filters = _default_filters(cfg.p)
     key = (cfg.catalog_n_max, filters)
     cat = _CATALOG_MEMO.get(key)
     if cat is not None:
@@ -131,6 +145,8 @@ def default_catalog(cfg: SolveConfig) -> Catalog:
             from .io import read_catalog
 
             cat = read_catalog(path)
+            if not catalog_covers(cat, cfg):
+                cat = None
     if cat is None:
         cat = enumerate_irreducible(cfg.catalog_n_max, filters)
         if path is not None:
@@ -169,22 +185,20 @@ def solve_mis(
         catalog = default_catalog(cfg)
 
     s = greedy_initial(g)
-    hits = {name: 0 for name in _FINDERS}
+    hits = {"path": 0, "tree": 0, "catalog": 0}
     iterations = 0
     while True:
-        cand = None
-        for name in cfg.finder_order:
-            if name == "path":
-                cand = find_augmenting_path(g, s, cfg.path_max_len)
-            elif name == "tree":
-                cand = find_tree_extension(g, s, cfg.p)
-            else:
-                cand = find_from_catalog(g, s, catalog)
-            if cand is not None:
-                hits[name] += 1
-                break
+        name = "path"
+        cand = find_augmenting_path(g, s)
+        if cand is None:
+            name = "tree"
+            cand = find_tree_extension(g, s, cfg.p)
+        if cand is None:
+            name = "catalog"
+            cand = find_from_catalog(g, s, catalog)
         if cand is None:
             break
+        hits[name] += 1
         s = augment(g, s, cand)
         iterations += 1
         if iterations > g.n:

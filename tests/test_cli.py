@@ -21,6 +21,15 @@ def test_solve_named_graph(capsys):
     assert "manifest:" in err
 
 
+def test_solve_named_complete_graphs(capsys):
+    code, out, _ = run(capsys, "solve", "K4", "--json")
+    assert code == 0 and json.loads(out)["alpha"] == 1
+    code, out, _ = run(capsys, "solve", "K3x3", "--json")
+    assert code == 0 and json.loads(out)["alpha"] == 3
+    code, _, err = run(capsys, "solve", "K1x2x3")
+    assert code == 1 and "error:" in err and "Traceback" not in err
+
+
 def test_solve_json_schema_keys(capsys):
     code, out, _ = run(capsys, "solve", "P7", "--json")
     payload = json.loads(out)
@@ -86,9 +95,27 @@ def test_atlas_bound(capsys):
 def test_solve_with_catalog_file(tmp_path, capsys):
     cat = tmp_path / "cat.txt"
     run(capsys, "atlas", "--n-max", "5", "--filters", "P8,T5,K3x3", "--out", str(cat))
-    code, out, _ = run(capsys, "solve", "P5", "--catalog", str(cat), "--json")
+    code, out, _ = run(
+        capsys, "solve", "P5", "--catalog", str(cat), "--catalog-n-max", "5",
+        "--json",
+    )
     assert code == 0
     assert json.loads(out)["alpha"] == 3
+
+
+def test_solve_rejects_catalog_file_that_does_not_cover(tmp_path, capsys):
+    cat = tmp_path / "cat.txt"
+    run(capsys, "atlas", "--n-max", "5", "--filters", "P8,T5,K3x3", "--out", str(cat))
+    # the default bound is 9, beyond the file's 5
+    code, out, err = run(capsys, "solve", "P5", "--catalog", str(cat), "--json")
+    assert code == 1 and out == ""
+    assert "error:" in err and "Traceback" not in err
+    # a filter the default catalogue for p=2 does not use (K3x3, T5)
+    code, out, err = run(
+        capsys, "solve", "P5", "--catalog", str(cat), "--catalog-n-max", "5",
+        "--p", "2",
+    )
+    assert code == 1 and out == "" and "error:" in err
 
 
 def test_solve_with_malformed_catalog_file(tmp_path, capsys):

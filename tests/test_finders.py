@@ -114,6 +114,9 @@ def test_path_finder_examples():
     c = find_augmenting_path(g, {0})
     assert (c.whites, c.blacks) == (frozenset(), frozenset({2}))
     assert find_augmenting_path(complete_graph(3), {0}) is None
+    # P5 with middle S: the only augmenting path swaps 2 whites for 3 blacks
+    c = find_augmenting_path(path_graph(5), {1, 3})
+    assert c is not None and len(c.blacks) == 3
 
 
 def test_path_candidates_are_chordless_even_paths():
@@ -128,16 +131,6 @@ def test_path_candidates_are_chordless_even_paths():
         assert is_path_shape(sub)
         assert sub.num_edges % 2 == 0
         assert len(c.blacks) == len(c.whites) + 1
-
-
-def test_path_max_len():
-    # P5 with middle S: the only augmenting path swaps 2 whites for 3 blacks
-    p5 = path_graph(5)
-    s = frozenset({1, 3})
-    full = find_augmenting_path(p5, s)
-    assert full is not None and len(full.blacks) == 3
-    assert find_augmenting_path(p5, s, max_len=2) is None
-    assert find_augmenting_path(p5, s, max_len=4) is not None
 
 
 @settings(max_examples=150)

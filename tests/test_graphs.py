@@ -15,6 +15,7 @@ from augmis import (
     path_graph,
     restricted_neighbourhood,
 )
+from augmis.graphs import component_mask, two_colouring
 from conftest import graphs_st
 
 
@@ -79,6 +80,14 @@ def test_bipartition_examples():
     assert bipartition(cycle_graph(4)) == ({0, 2}, {1, 3})
     assert bipartition(cycle_graph(5)) is None
     assert bipartition(Graph(1)) == ({0}, frozenset())
+
+
+def test_mask_helpers_examples():
+    two_edges = Graph(4, [(0, 1), (2, 3)])
+    assert component_mask(two_edges.adj, 3) == 0b1100
+    assert component_mask(Graph(1).adj, 0) == 1
+    assert two_colouring(4, two_edges.adj) == (0b0101, 0b1010)
+    assert two_colouring(3, complete_graph(3).adj) is None
 
 
 def test_bipartition_canonical_side_rule():

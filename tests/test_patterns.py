@@ -16,6 +16,7 @@ from augmis import (
     Pattern,
     build_pattern,
     complete_bipartite,
+    complete_graph,
     cycle_graph,
     find_induced,
     find_forbidden,
@@ -75,10 +76,21 @@ def test_build_rejects_bad_parameters():
 
 
 def test_parse_and_str_round_trip():
-    for text in ["P8", "C6", "K3x3", "S1x1x3", "T4"]:
+    for text in ["P8", "C6", "K4", "K3x3", "S1x1x3", "T4"]:
         assert str(parse_pattern(text)) == text
     with pytest.raises(ValueError):
         parse_pattern("K3,3")
+
+
+def test_k_kind_is_complete_or_complete_bipartite():
+    assert parse_pattern("K4").build() == complete_graph(4)
+    assert parse_pattern("K3x3").build() == complete_bipartite(3, 3)
+    assert parse_pattern("P7").build() == path_graph(7)
+    assert parse_pattern("C5").build() == cycle_graph(5)
+    with pytest.raises(ValueError):
+        Pattern("K", (1, 2, 3))
+    with pytest.raises(ValueError):
+        Pattern("K", (0,))
 
 
 def test_claw_is_k13():

@@ -1,3 +1,4 @@
+import os
 from itertools import combinations
 
 import pytest
@@ -14,6 +15,8 @@ from augmis import (
     class_patterns,
     complete_graph,
     cycle_graph,
+    default_catalog,
+    enumerate_irreducible,
     gen_free_random,
     greedy_initial,
     is_augmenting,
@@ -24,6 +27,7 @@ from augmis import (
 )
 from augmis.enumeration import grow_graphs
 from augmis.finders import ClassViolationWarning
+from augmis.solver import catalog_covers
 from conftest import graphs_st, petersen
 
 
@@ -154,6 +158,33 @@ def test_solve_matches_brute_force_on_class_graphs_n7(solver_catalog9):
     assert checked == 938
 
 
+def test_catalog_cache_that_does_not_cover_is_rebuilt(tmp_path, monkeypatch):
+    import augmis.solver as solver_mod
+    from augmis.io import read_catalog, write_catalog
+
+    # an unfiltered n <= 3 catalogue under the name of the n <= 5 default
+    path = tmp_path / "catalog-n5-P8-T5-K3x3.txt"
+    write_catalog(enumerate_irreducible(3), str(path))
+    monkeypatch.setenv(solver_mod.CATALOG_DIR_ENV, str(tmp_path))
+    monkeypatch.setattr(solver_mod, "_CATALOG_MEMO", {})
+    cfg = SolveConfig(catalog_n_max=5)
+    cat = default_catalog(cfg)
+    assert catalog_covers(cat, cfg)
+    assert cat.max_vertices == 5 and cat.filters == (
+        Pattern("P", (8,)), Pattern("T", (5,)), Pattern("K", (3, 3))
+    )
+    assert read_catalog(str(path)) == cat
+    assert os.listdir(tmp_path) == [path.name]
+
+
+def test_catalog_covers_bound_and_filters(solver_catalog9, unfiltered_catalog9):
+    assert catalog_covers(solver_catalog9, SolveConfig(catalog_n_max=9))
+    assert catalog_covers(solver_catalog9, SolveConfig(catalog_n_max=7))
+    assert not catalog_covers(solver_catalog9, SolveConfig(p=2))
+    assert catalog_covers(unfiltered_catalog9, SolveConfig(p=2))
+    assert not catalog_covers(unfiltered_catalog9, SolveConfig(catalog_n_max=11))
+
+
 def test_solve_iteration_and_hit_bookkeeping(solver_catalog9):
     # P5 with greedy start {0, 2, 4} is already maximum: zero iterations
     r = solve_mis(path_graph(5), catalog=solver_catalog9)
@@ -162,5 +193,3 @@ def test_solve_iteration_and_hit_bookkeeping(solver_catalog9):
     # bad config
     with pytest.raises(ValueError):
         SolveConfig(p=1)
-    with pytest.raises(ValueError):
-        SolveConfig(finder_order=("path", "path", "tree"))
