@@ -16,18 +16,15 @@ from .graphs import (
     induced_subgraph,
     is_independent,
     neighbourhood,
-    restricted_neighbourhood,
 )
 from .patterns import (
     Pattern,
-    build_pattern,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     find_forbidden,
     find_induced,
     is_free,
-    max_subdivided_star,
     parse_pattern,
     path_graph,
     spider,
@@ -39,7 +36,6 @@ from .irreducible import (
     ColoredBipartite,
     SearchBudgetError,
     bicolored,
-    bipartite_ramsey_bound,
     bipartite_ramsey_search,
     canonical_code,
     enumerate_irreducible,

@@ -32,6 +32,7 @@ from .io import (
     format_dimacs,
     read_catalog,
     read_graph,
+    write_catalog,
     write_graph,
 )
 from .irreducible import (
@@ -153,12 +154,10 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
     started = time.monotonic()
     filters = _parse_filters(args.filters)
     cat = enumerate_irreducible(args.n_max, filters)
-    text = format_catalog(cat)
     if args.out:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+        write_catalog(cat, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(format_catalog(cat))
     census = " ".join(f"{n}:{c}" for n, c in sorted(cat.census().items()))
     print(f"catalog entries {len(cat)} census {census or '-'}", file=sys.stderr)
     _emit_manifest(

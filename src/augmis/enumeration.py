@@ -46,9 +46,11 @@ def _grow(
     """Level-wise growth with canonical-code dedup per level.
 
     ``seeds`` are single-vertex graphs.  Each level is yielded in
-    ascending canonical-code order; the seed level is yielded whatever
-    ``n_max`` is.
+    ascending canonical-code order; nothing is yielded when ``n_max`` is
+    below 1.
     """
+    if n_max < 1:
+        return
     checks = [_compile(_as_graph(p)) for p in free_of]
 
     def keep(n: int, adj: Adj, fresh: range) -> bool:

@@ -19,7 +19,6 @@ __all__ = [
     "mask_of",
     "set_of",
     "neighbourhood",
-    "restricted_neighbourhood",
     "induced_subgraph",
     "is_independent",
     "component_mask",
@@ -153,15 +152,6 @@ def neighbourhood(g: Graph, us: Iterable[int]) -> frozenset[int]:
     for u in us:
         m |= g.adj[u]
     return set_of(m)
-
-
-def restricted_neighbourhood(
-    g: Graph, us: Iterable[int], xs: Iterable[int]
-) -> frozenset[int]:
-    """Neighbourhood of ``us`` intersected with ``xs``."""
-    xs = list(xs)
-    _check_vertices(g, xs)
-    return neighbourhood(g, us) & frozenset(xs)
 
 
 def induced_subgraph(

@@ -15,7 +15,6 @@ census header, so a truncated or edited catalogue is rejected.
 from __future__ import annotations
 
 import os
-import tempfile
 from typing import Optional
 
 from .canonical import canon_code
@@ -237,11 +236,13 @@ def write_catalog(cat: Catalog, path: str) -> None:
 
     The text goes to a temp file in the same directory, is synced, and
     is then renamed over ``path``, so a crash or a concurrent reader
-    never sees a truncated catalogue.
+    never sees a truncated catalogue.  The file gets the mode a plain
+    ``open`` would give it (0o666 under the umask), not mkstemp's 0o600.
     """
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(path) or ".", prefix=".catalog-", suffix=".tmp"
+    tmp = os.path.join(
+        os.path.dirname(path) or ".", f".catalog-{os.urandom(8).hex()}.tmp"
     )
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
             fh.write(format_catalog(cat))

@@ -31,7 +31,6 @@ __all__ = [
     "enumerate_irreducible",
     "RamseyResult",
     "bipartite_ramsey_search",
-    "bipartite_ramsey_bound",
     "MinClassReport",
     "verify_min_classes",
     "SearchBudgetError",
@@ -337,10 +336,6 @@ def bipartite_ramsey_search(
     raise SearchBudgetError(
         f"no forcing size found with matchings up to {max_matching}"
     )
-
-
-def bipartite_ramsey_bound(t: int, p: int, *, max_matching: int = 6) -> int:
-    return bipartite_ramsey_search(t, p, max_matching=max_matching).value
 
 
 # -- census of pattern-free irreducible graphs ------------------------------

@@ -3,9 +3,15 @@
 A spider(i, j, k) is the tree with a single degree-3 vertex whose three
 leaves sit at distances i, j, k from it; spider(1, 1, 1) is the claw.
 A subdivided star of order k is the star on k edges with every edge
-subdivided once (2k+1 vertices).  Detection is exact backtracking over a
-static vertex order; worst-case exponential, which is fine at the small
-pattern sizes used here.
+subdivided once (2k+1 vertices).
+
+Detection is exact backtracking by one engine, ``_search``, over compiled
+plans.  ``find_induced`` places the pattern vertices by descending degree;
+the anchored plans that ask "is there a copy through host vertex v" start
+at a root and place next the vertex with the most placed neighbours.  The
+same engine finds the roots (one per automorphism orbit), so compiling a
+highly symmetric pattern such as K(10) stays cheap.  Worst-case
+exponential in the pattern size, which is fine at the sizes used here.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from .graphs import Graph, bits
 
 __all__ = [
     "Pattern",
-    "build_pattern",
     "parse_pattern",
     "path_graph",
     "cycle_graph",
@@ -29,7 +34,6 @@ __all__ = [
     "find_induced",
     "find_forbidden",
     "is_free",
-    "max_subdivided_star",
     "all_maximal_subdivided_stars",
 ]
 
@@ -123,11 +127,6 @@ class Pattern:
         return self.kind + "x".join(str(p) for p in self.params)
 
 
-def build_pattern(kind: str, *params: int) -> Graph:
-    """Canonical graph for a pattern kind, e.g. build_pattern("S", 1, 1, 3)."""
-    return Pattern(kind, tuple(params)).build()
-
-
 _PATTERN_RE = re.compile(r"^([PCKST])(\d+(?:x\d+)*)$")
 
 
@@ -153,8 +152,10 @@ def _as_graph(p: PatternLike) -> Graph:
 # and the index of the host vertex domain its image is drawn from.
 # Uncoloured plans use domain 0 everywhere and search with ``(full,)``;
 # coloured plans (the catalogue finder) map colour classes to domains.
-# The anchored plans pin one automorphism-orbit representative at position
-# 0 so that "is there a copy through vertex v" needs one search per orbit.
+# The anchored plans pin one automorphism-orbit root at position 0 so that
+# "is there a copy through vertex v" needs one search per orbit.  The roots
+# are the least vertex of each orbit, found by embedding the pattern into
+# itself with the plans compiled so far (see ``_Compiled``).
 
 
 class _Plan:
@@ -199,57 +200,28 @@ def _anchored_order(p: Graph, first: int) -> list[int]:
     return order
 
 
-def _automorphism_orbit_reps(p: Graph) -> list[int]:
-    """One representative per vertex orbit of Aut(p); brute backtracking."""
-    parent = list(range(p.n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    order = _static_order(p)
-    images = [0] * p.n
-
-    def rec(i: int, used: int) -> None:
-        if i == p.n:
-            for q in range(p.n):
-                union(q, images[q])
-            return
-        q = order[i]
-        dq = p.degree(q)
-        for v in range(p.n):
-            if used >> v & 1 or p.degree(v) != dq:
-                continue
-            ok = True
-            for j in range(i):
-                if p.has_edge(q, order[j]) != p.has_edge(v, images[order[j]]):
-                    ok = False
-                    break
-            if ok:
-                images[q] = v
-                rec(i + 1, used | 1 << v)
-
-    rec(0, 0)
-    reps = sorted({find(v) for v in range(p.n)})
-    return reps
-
-
 class _Compiled:
     __slots__ = ("n", "generic", "anchored")
 
     def __init__(self, p: Graph) -> None:
         self.n = p.n
         self.generic = _Plan(p, _static_order(p))
-        self.anchored = tuple(
-            _Plan(p, _anchored_order(p, r)) for r in _automorphism_orbit_reps(p)
-        )
+        # v is a root unless an earlier root's plan embeds p into itself
+        # with v at position 0: that embedding is an automorphism, so the
+        # roots are the least vertex of each orbit, in ascending order.
+        deg = [m.bit_count() for m in p.adj]
+        full = (1 << p.n) - 1
+        images = [0] * p.n
+        anchored: list[_Plan] = []
+        for v in range(p.n):
+            images[0] = v
+            if not any(
+                plan.degs[0] == deg[v]
+                and _search(plan, p.adj, deg, (full,), images, 1, 1 << v)
+                for plan in anchored
+            ):
+                anchored.append(_Plan(p, _anchored_order(p, v)))
+        self.anchored = tuple(anchored)
 
 
 _COMPILE_CACHE: dict[tuple[int, tuple[int, ...]], _Compiled] = {}
@@ -380,46 +352,6 @@ def is_free(g: Graph, patterns: Iterable[PatternLike]) -> bool:
 
 
 # -- subdivided stars ------------------------------------------------------
-
-
-def _leg_ok(
-    g: Graph, centre: int, a: int, b: int, used: int, inner: int, outer: int
-) -> bool:
-    if used >> a & 1 or used >> b & 1 or a == b:
-        return False
-    adj = g.adj
-    if adj[centre] >> b & 1:
-        return False
-    if adj[a] & (inner | outer):
-        return False
-    if adj[b] & (inner | outer):
-        return False
-    return True
-
-
-def max_subdivided_star(
-    g: Graph, centre: int
-) -> Optional[tuple[frozenset[int], frozenset[int]]]:
-    """Inclusion-maximal induced subdivided star centred at ``centre``.
-
-    Greedy growth scanning candidate (middle, leaf) pairs in ascending id
-    order; returns (middles, leaves) or None when no leg exists.  Maximal
-    with respect to inclusion, not cardinality.
-    """
-    if not 0 <= centre < g.n:
-        raise ValueError(f"vertex id {centre} out of range")
-    inner = outer = 0
-    used = 1 << centre
-    for a in bits(g.adj[centre]):
-        for b in bits(g.adj[a]):
-            if _leg_ok(g, centre, a, b, used, inner, outer):
-                inner |= 1 << a
-                outer |= 1 << b
-                used |= (1 << a) | (1 << b)
-                break
-    if not inner:
-        return None
-    return frozenset(bits(inner)), frozenset(bits(outer))
 
 
 def all_maximal_subdivided_stars(

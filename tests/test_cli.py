@@ -87,6 +87,19 @@ def test_atlas_census_and_determinism(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_atlas_out_matches_stdout_like_a_plain_write(tmp_path, capsys):
+    out = tmp_path / "cat.txt"
+    code, _, _ = run(capsys, "atlas", "--n-max", "5", "--out", str(out))
+    assert code == 0
+    code, text, _ = run(capsys, "atlas", "--n-max", "5")
+    assert code == 0
+    assert out.read_bytes() == text.encode("ascii")
+    assert sorted(os.listdir(tmp_path)) == ["cat.txt"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 def test_atlas_bound(capsys):
     code, _, err = run(capsys, "atlas", "--n-max", "20")
     assert code == 1 and "error" in err

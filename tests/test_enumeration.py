@@ -40,3 +40,10 @@ def test_grow_balanced_bicolored_raw_digest():
     filters = (Pattern("P", (8,)), Pattern("T", (5,)), Pattern("K", (3, 3)))
     got = _digest(grow_balanced_bicolored_raw(9, filters))
     assert got == (486, "840b7bd039da6181")
+
+
+def test_growers_yield_nothing_below_one_vertex():
+    for n_max in (0, -1):
+        assert list(grow_graphs(n_max)) == []
+        assert list(grow_bicolored_raw(n_max)) == []
+        assert list(grow_balanced_bicolored_raw(n_max)) == []

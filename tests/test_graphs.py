@@ -13,7 +13,6 @@ from augmis import (
     is_independent,
     neighbourhood,
     path_graph,
-    restricted_neighbourhood,
 )
 from augmis.graphs import component_mask, two_colouring
 from conftest import graphs_st
@@ -39,14 +38,6 @@ def test_neighbourhood_examples():
 def test_neighbourhood_range_check():
     with pytest.raises(ValueError):
         neighbourhood(path_graph(3), {5})
-
-
-def test_restricted_neighbourhood_examples():
-    p3 = path_graph(3)
-    assert restricted_neighbourhood(p3, {1}, {0}) == {0}
-    assert restricted_neighbourhood(p3, {1}, set()) == set()
-    c5 = cycle_graph(5)
-    assert restricted_neighbourhood(c5, {0}, {1, 3}) == {1}
 
 
 def test_induced_subgraph_examples():

@@ -15,7 +15,6 @@ from augmis import (
     Pattern,
     bicolored,
     bipartition,
-    bipartite_ramsey_bound,
     bipartite_ramsey_search,
     canonical_code,
     cycle_graph,
@@ -195,8 +194,8 @@ def test_catalog_entries_satisfy_invariants():
 
 
 def test_ramsey_bounds():
-    assert bipartite_ramsey_bound(1, 1) == 1
-    assert bipartite_ramsey_bound(1, 2) == 1
+    assert bipartite_ramsey_search(1, 1).value == 1
+    assert bipartite_ramsey_search(1, 2).value == 1
     res = bipartite_ramsey_search(2, 2)
     assert res.value == 3
     # the recorded extremal avoider: matching of size 2, no biclique K(2,2),
@@ -210,7 +209,7 @@ def test_ramsey_budget_error():
     with pytest.raises(SearchBudgetError):
         bipartite_ramsey_search(3, 3, max_matching=2)
     with pytest.raises(ValueError):
-        bipartite_ramsey_bound(0, 1)
+        bipartite_ramsey_search(0, 1)
 
 
 def test_min_classes_censuses():

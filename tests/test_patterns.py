@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from augmis import (
     Graph,
     Pattern,
-    build_pattern,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -22,13 +21,13 @@ from augmis import (
     find_forbidden,
     is_free,
     line_graph,
-    max_subdivided_star,
     parse_pattern,
     path_graph,
     spider,
-    subdivided_star,
 )
-from augmis.patterns import all_maximal_subdivided_stars
+from augmis.canonical import canon_code
+from augmis.enumeration import grow_graphs
+from augmis.patterns import _Compiled, all_maximal_subdivided_stars
 from conftest import graphs_st
 
 
@@ -56,11 +55,11 @@ def oracle_contains_induced(g: Graph, p: Graph) -> bool:
 
 
 def test_build_examples():
-    p8 = build_pattern("P", 8)
+    p8 = Pattern("P", (8,)).build()
     assert p8.n == 8 and p8.num_edges == 7
-    t3 = build_pattern("T", 3)
+    t3 = Pattern("T", (3,)).build()
     assert t3.n == 7 and t3.num_edges == 6 and t3.degree(0) == 3
-    s = build_pattern("S", 1, 1, 3)
+    s = Pattern("S", (1, 1, 3)).build()
     assert sorted(s.degree(v) for v in range(6)) == [1, 1, 1, 2, 2, 3]
 
 
@@ -211,48 +210,6 @@ def oracle_max_star(g: Graph, centre: int):
     return 0
 
 
-def test_max_star_examples():
-    t5 = subdivided_star(5)
-    mid, leaf = max_subdivided_star(t5, 0)
-    assert mid == frozenset(range(1, 6)) and leaf == frozenset(range(6, 11))
-    assert max_subdivided_star(complete_bipartite(1, 4), 0) is None
-    # complete bipartite graphs admit single legs but never two
-    got = max_subdivided_star(complete_bipartite(3, 3), 0)
-    assert got is not None and len(got[0]) == 1
-    assert oracle_max_star(complete_bipartite(3, 3), 0) == 1
-
-
-@given(graphs_st(max_n=8), st.data())
-def test_max_star_is_maximal_and_valid(g, data):
-    centre = data.draw(st.integers(0, g.n - 1))
-    got = max_subdivided_star(g, centre)
-    best = oracle_max_star(g, centre)
-    if got is None:
-        assert best == 0
-        return
-    mid, leaf = got
-    assert len(mid) == len(leaf) >= 1
-    # structure: validated by the anatomy constructor
-    from augmis import compute_anatomy
-
-    compute_anatomy(g, centre, mid, leaf)
-    # greedy result cannot be extended: re-running the growth on the
-    # result plus every remaining leg candidate finds nothing to add
-    from augmis.graphs import mask_of
-
-    used = mask_of(mid | leaf | {centre})
-    for a in g.neighbors(centre):
-        for b in g.neighbors(a):
-            if used >> a & 1 or used >> b & 1 or b == centre:
-                continue
-            if g.has_edge(centre, b):
-                continue
-            conflict = any(
-                g.has_edge(a, x) or g.has_edge(b, x) for x in mid | leaf
-            )
-            assert conflict, "greedy star missed an addable leg"
-
-
 @given(graphs_st(max_n=7), st.data())
 def test_all_maximal_stars_agree_with_cardinality_oracle(g, data):
     centre = data.draw(st.integers(0, g.n - 1))
@@ -260,3 +217,41 @@ def test_all_maximal_stars_agree_with_cardinality_oracle(g, data):
     best = oracle_max_star(g, centre)
     got_best = max((len(m) for m, _ in stars), default=0)
     assert got_best == best
+
+
+# -- anchored plans --
+
+
+def _orbit_roots(g: Graph) -> list[int]:
+    """Least vertex of each automorphism orbit, from coloured canonical
+    codes: u and v share an orbit iff colouring u alone gives the same
+    code as colouring v alone."""
+    seen = set()
+    roots = []
+    for v in range(g.n):
+        cols = tuple(int(u == v) for u in range(g.n))
+        code = canon_code(g.n, g.adj, cols)
+        if code not in seen:
+            seen.add(code)
+            roots.append(v)
+    return roots
+
+
+def test_anchored_roots_are_orbit_minima():
+    checked = 0
+    for g in grow_graphs(6):
+        full = (1 << g.n) - 1
+        co = Graph.from_masks(
+            g.n, [full & ~m & ~(1 << v) for v, m in enumerate(g.adj)]
+        )
+        for h in (g, co):
+            roots = [plan.order[0] for plan in _Compiled(h).anchored]
+            assert roots == _orbit_roots(h), h.adj
+            checked += 1
+    assert checked == 2 * 143
+
+
+def test_symmetric_patterns_compile_to_one_anchored_plan():
+    five_edges = Graph(10, [(2 * i, 2 * i + 1) for i in range(5)])
+    for p in (complete_graph(10), Graph(10, []), five_edges):
+        assert len(_Compiled(p).anchored) == 1
