@@ -93,15 +93,52 @@ def find_augmenting_path(g: Graph, s: Iterable[int]) -> Optional[AugCandidate]:
     endpoint blacks may have at most one S-neighbour, inner blacks exactly
     two, and induced-ness is maintained incrementally, which prunes
     without losing any path.
+
+    Endpoint bound: each time the path takes a white w, it goes on only if
+    a black with exactly one S-neighbour is reachable from w, alternating
+    through blacks with exactly two S-neighbours and through whites, where
+    the blacks are unused and not adjacent to a path black or an earlier
+    white, and the whites are not adjacent to a path black.  Every
+    completion of the path is such a walk, so the bound is exact; and the
+    DFS order is unchanged, so the path returned is the one the unpruned
+    search finds first.
     """
     smask = mask_of(s)
     adj = g.adj
     full = (1 << g.n) - 1
     rmask = full & ~smask
+    ends = mids = 0  # vertices outside S with one, two S-neighbours
+    for v in bits(rmask):
+        k = (adj[v] & smask).bit_count()
+        if k == 1:
+            ends |= 1 << v
+        elif k == 2:
+            mids |= 1 << v
+
+    def reaches_end(w: int, free_b: int, free_w: int) -> bool:
+        todo = 1 << w
+        while todo:
+            x = todo.bit_length() - 1
+            todo ^= 1 << x
+            nbs = adj[x] & free_b
+            if nbs & ends:
+                return True
+            free_b &= ~nbs
+            for b in bits(nbs & mids):
+                nxt = adj[b] & free_w
+                todo |= nxt
+                free_w &= ~nxt
+        return False
 
     def extend(
-        cur: int, wmask: int, bmask: int, order: tuple[int, ...]
+        cur: int,
+        wmask: int,
+        bmask: int,
+        bnbr: int,
+        wnbr: int,
+        order: tuple[int, ...],
     ) -> Optional[tuple[int, int, tuple[int, ...]]]:
+        # bnbr, wnbr: the vertices adjacent to a path black, a path white
         pending = adj[cur] & smask & ~wmask
         if pending == 0:
             return wmask, bmask, order
@@ -110,14 +147,22 @@ def find_augmenting_path(g: Graph, s: Iterable[int]) -> Optional[AugCandidate]:
         w = pending.bit_length() - 1
         if adj[w] & bmask != 1 << cur:
             return None  # w would chord an earlier black
+        # unused blacks with no chord to a path black or an earlier white;
+        # every path white is adjacent to a path black
+        free_b = rmask & ~(bmask | bnbr | wnbr)
+        if not reaches_end(w, free_b, smask & ~bnbr):
+            return None
         wmask2 = wmask | pending
-        used = wmask2 | bmask
-        for nb in bits(adj[w] & rmask & ~used):
-            if adj[nb] & bmask:
-                continue  # black-black chord
-            if adj[nb] & wmask2 != pending:
-                continue  # chord to an earlier white
-            hit = extend(nb, wmask2, bmask | (1 << nb), order + (w, nb))
+        wnbr2 = wnbr | adj[w]
+        for nb in bits(adj[w] & free_b):
+            hit = extend(
+                nb,
+                wmask2,
+                bmask | (1 << nb),
+                bnbr | adj[nb],
+                wnbr2,
+                order + (w, nb),
+            )
             if hit is not None:
                 return hit
         return None
@@ -126,7 +171,7 @@ def find_augmenting_path(g: Graph, s: Iterable[int]) -> Optional[AugCandidate]:
         start = adj[b0] & smask
         if start & (start - 1):
             continue  # endpoints have at most one S-neighbour
-        hit = extend(b0, 0, 1 << b0, (b0,))
+        hit = extend(b0, 0, 1 << b0, adj[b0], 0, (b0,))
         if hit is not None:
             wmask, bmask, order = hit
             cand = AugCandidate(
@@ -273,16 +318,26 @@ def find_from_catalog(
     ``patterns._search`` engine: the plan starts at a black of maximum
     degree and every later vertex attaches to an already-placed one, so
     no position branches over all of S or all of V - S.
+
+    Claw-centre bound: entry blacks are independent, so a white of entry
+    degree 3 or more is placed on a vertex of S whose neighbours outside
+    S contain an independent triple, the centre of an induced claw with
+    its leaves outside S.  Such whites draw from the claw centres only.
+    No embedding is lost and the candidate order within each domain is
+    unchanged, so the result is the one the search over all of S finds;
+    on claw-free graphs every entry with such a white is skipped by the
+    per-domain count check.
     """
     s = frozenset(s)
     smask = mask_of(s)
     adj = g.adj
     n = g.n
-    # domain 0 is S; domain 1 + d holds the vertices outside S with
-    # exactly d neighbours in S
-    doms = [smask] + [0] * n
-    for v in bits(((1 << n) - 1) & ~smask):
-        doms[1 + (adj[v] & smask).bit_count()] |= 1 << v
+    rmask = ((1 << n) - 1) & ~smask
+    # domain 0 is S, domain 1 the claw centres in S; domain 2 + d holds
+    # the vertices outside S with exactly d neighbours in S
+    doms = [smask, _claw_centres(adj, smask, rmask)] + [0] * n
+    for v in bits(rmask):
+        doms[2 + (adj[v] & smask).bit_count()] |= 1 << v
     sizes = [m.bit_count() for m in doms]
     g_deg = [m.bit_count() for m in adj]
     images = [0] * n
@@ -291,7 +346,7 @@ def find_from_catalog(
         hn, plan, need = _ENTRY_PLANS.get(entry.code) or _compile_entry(entry)
         if hn > n:
             continue
-        # blacks of an entry that fits have degree < n, so k <= n
+        # blacks of an entry that fits have degree < n, so k <= n + 1
         for k, c in need:
             if sizes[k] < c:
                 break
@@ -318,12 +373,40 @@ _EntryPlan = tuple[int, _Plan, tuple[tuple[int, int], ...]]
 _ENTRY_PLANS: dict[bytes, _EntryPlan] = {}
 
 
+def _claw_centres(adj: tuple[int, ...], smask: int, rmask: int) -> int:
+    """The vertices of S with an independent triple among their
+    neighbours outside S."""
+    out = 0
+    for v in bits(smask):
+        if _has_independent_triple(adj, adj[v] & rmask):
+            out |= 1 << v
+    return out
+
+
+def _has_independent_triple(adj: tuple[int, ...], xs: int) -> bool:
+    while xs:
+        a = xs.bit_length() - 1
+        xs ^= 1 << a
+        pairs = xs & ~adj[a]  # below a and not adjacent to it
+        while pairs:
+            b = pairs.bit_length() - 1
+            pairs ^= 1 << b
+            if pairs & ~adj[b]:
+                return True
+    return False
+
+
 def _compile_entry(entry: CatalogEntry) -> _EntryPlan:
     h = entry.graph
     hg = h.graph
-    dom_of = [1 + hg.degree(v) if v in h.black else 0 for v in range(hg.n)]
+    dom_of = [
+        2 + hg.degree(v) if v in h.black else int(hg.degree(v) >= 3)
+        for v in range(hg.n)
+    ]
     first = max(sorted(h.black), key=hg.degree)
     plan = _Plan(hg, _anchored_order(hg, first), dom_of)
-    need = tuple(sorted(Counter(dom_of).items()))
+    counts = Counter(dom_of)
+    counts[0] += counts[1]  # claw centres lie in S too
+    need = tuple(sorted(counts.items()))
     compiled = _ENTRY_PLANS[entry.code] = (hg.n, plan, need)
     return compiled

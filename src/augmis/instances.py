@@ -97,6 +97,8 @@ def gen_free_random(
     """
     if n < 1 or n > 200:
         raise ValueError("n must be between 1 and 200")
+    if not 0 <= density <= 1:  # also rejects NaN
+        raise ValueError("density must be between 0 and 1")
     pats = list(patterns)
     for p in pats:
         if _as_graph(p).num_edges == 0:

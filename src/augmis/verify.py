@@ -323,6 +323,8 @@ def verify_extension_bound(p: int, n_max: int) -> SweepReport:
     are near-stars: deleting at most 4p vertices leaves a subdivided
     star of order >= p+2, and a black-centred copy of order p+2 exists.
     """
+    if p < 2:
+        raise ValueError("class parameter p must be at least 2")
     if n_max > 13:
         raise ValueError("sweep capped at 13 vertices")
     star = Pattern("T", (p + 2,))

@@ -198,6 +198,23 @@ def test_gen_random_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_gen_random_rejects_bad_density(capsys):
+    for density in ("1.5", "-1", "nan"):
+        code, out, err = run(
+            capsys, "gen", "--random", "--n", "10", "--density", density,
+            "--seed", "1",
+        )
+        assert code == 1 and out == ""
+        assert "error:" in err and "density" in err
+        assert "Traceback" not in err
+
+
+def test_verify_extension_rejects_small_p(capsys):
+    code, out, err = run(capsys, "verify", "--lemma", "extension", "--p", "1")
+    assert code == 1 and "violations" not in out
+    assert "error:" in err and "at least 2" in err
+
+
 def test_gen_plant_then_solve_and_oracle_agree(tmp_path, capsys):
     out = tmp_path / "plant.col"
     code, _, err = run(

@@ -5,8 +5,11 @@ The path oracle re-decides existence from the definition: enumerate all
 is a path.  The catalogue oracle enumerates all small augmenting vertex
 pairs regardless of shape; the catalogue finder is also compared, entry
 by entry, with a plain per-entry backtracker kept here as a reference.
+The path finder is compared, candidate for candidate, with the unpruned
+path search kept here as a reference.
 """
 
+import random
 from itertools import combinations
 
 import pytest
@@ -26,13 +29,18 @@ from augmis import (
     greedy_initial,
     induced_subgraph,
     is_augmenting,
+    line_graph,
     path_graph,
+    solve_mis,
     subdivided_star,
 )
 import augmis.finders as finders
+import augmis.solver as solver
+from augmis.enumeration import grow_graphs
 from augmis.finders import ClassViolationWarning
 from augmis.irreducible import Catalog
-from augmis.graphs import bits, mask_of
+from augmis.graphs import bits, mask_of, set_of
+from augmis.solver import SolveConfig, class_patterns
 from conftest import graphs_st
 
 
@@ -117,6 +125,93 @@ def test_path_finder_examples():
     # P5 with middle S: the only augmenting path swaps 2 whites for 3 blacks
     c = find_augmenting_path(path_graph(5), {1, 3})
     assert c is not None and len(c.blacks) == 3
+
+
+def reference_find_augmenting_path(g, s):
+    """The path search without the endpoint bound: the same DFS, pruned
+    only by S-degrees and chords."""
+    smask = mask_of(s)
+    adj = g.adj
+    rmask = ((1 << g.n) - 1) & ~smask
+
+    def extend(cur, wmask, bmask, order):
+        pending = adj[cur] & smask & ~wmask
+        if pending == 0:
+            return wmask, bmask, order
+        if pending & (pending - 1):
+            return None
+        w = pending.bit_length() - 1
+        if adj[w] & bmask != 1 << cur:
+            return None
+        wmask2 = wmask | pending
+        for nb in bits(adj[w] & rmask & ~(wmask2 | bmask)):
+            if adj[nb] & bmask or adj[nb] & wmask2 != pending:
+                continue
+            hit = extend(nb, wmask2, bmask | (1 << nb), order + (w, nb))
+            if hit is not None:
+                return hit
+        return None
+
+    for b0 in bits(rmask):
+        start = adj[b0] & smask
+        if start & (start - 1):
+            continue
+        hit = extend(b0, 0, 1 << b0, (b0,))
+        if hit is not None:
+            wmask, bmask, order = hit
+            return AugCandidate(
+                set_of(wmask), set_of(bmask), "path", detail=order
+            )
+    return None
+
+
+def seeded_line_graphs():
+    """Randomly labelled line graphs of seeded random graphs on 12-16
+    vertices: claw-free, so every augmenting graph is a path."""
+    out = []
+    for n in range(12, 17):
+        for seed in range(4):
+            rnd = random.Random(f"line graph {n} {seed}")
+            edges = [
+                (u, v)
+                for u in range(n)
+                for v in range(u + 1, n)
+                if rnd.random() < 0.3
+            ]
+            lg, _ = line_graph(Graph(n, edges or [(0, 1)]))
+            perm = list(range(lg.n))
+            rnd.shuffle(perm)
+            out.append(Graph(lg.n, [(perm[u], perm[v]) for u, v in lg.edges()]))
+    return out
+
+
+@pytest.fixture(scope="module")
+def class_graphs7():
+    return list(grow_graphs(7, free_of=class_patterns(3)))
+
+
+def test_path_finder_matches_reference(
+    monkeypatch, class_graphs7, solver_catalog9
+):
+    found = []
+
+    def checked(g, s):
+        got = find_augmenting_path(g, s)
+        assert got == reference_find_augmenting_path(g, s)
+        found.append(got is not None)
+        return got
+
+    # every S that solve_mis visits goes through both searches
+    monkeypatch.setattr(solver, "find_augmenting_path", checked)
+    cfg = SolveConfig()
+    for g in seeded_line_graphs():
+        solve_mis(g, cfg, solver_catalog9)
+    for g in class_graphs7:
+        greedy = greedy_initial(g)
+        for s in (greedy, greedy - {min(greedy)}):
+            checked(g, s)
+        solve_mis(g, cfg, solver_catalog9)
+    assert any(found) and not all(found)
 
 
 def test_path_candidates_are_chordless_even_paths():
@@ -268,29 +363,51 @@ def test_catalog_finder_matches_reference_backtracker(solver_catalog9):
         Catalog(9, solver_catalog9.filters, (e,))
         for e in solver_catalog9.entries
     ]
+    graphs = [
+        gen_free_random(n, 0.3, class_pats, 100 * n + seed)
+        for n in range(10, 15)
+        for seed in range(6)
+    ]
     hits = misses = 0
-    for n in range(10, 15):
-        for seed in range(6):
-            g = gen_free_random(n, 0.3, class_pats, 100 * n + seed)
-            greedy = greedy_initial(g)
-            for s in (greedy, greedy - {min(greedy)}):
-                smask = mask_of(s)
-                first = None
-                for entry, single in zip(solver_catalog9.entries, singles):
-                    want = reference_embed_entry(g, smask, entry.graph)
-                    got = find_from_catalog(g, s, single)
-                    assert (got is None) == (want is None), entry.code.hex()
-                    if got is None:
-                        misses += 1
-                        continue
-                    assert is_augmenting(g, s, got)
-                    hits += 1
-                    first = first or entry.code
-                # both scan entries in catalogue order, so the whole
-                # catalogue returns the first entry that embeds
-                got = find_from_catalog(g, s, solver_catalog9)
-                assert (got and got.detail) == first
+    for g in graphs + seeded_line_graphs():
+        greedy = greedy_initial(g)
+        for s in (greedy, greedy - {min(greedy)}):
+            smask = mask_of(s)
+            first = None
+            for entry, single in zip(solver_catalog9.entries, singles):
+                want = reference_embed_entry(g, smask, entry.graph)
+                got = find_from_catalog(g, s, single)
+                assert (got is None) == (want is None), entry.code.hex()
+                if got is None:
+                    misses += 1
+                    continue
+                assert is_augmenting(g, s, got)
+                hits += 1
+                first = first or entry.code
+            # both scan entries in catalogue order, so the whole
+            # catalogue returns the first entry that embeds
+            got = find_from_catalog(g, s, solver_catalog9)
+            assert (got and got.detail) == first
     assert hits and misses
+
+
+def test_claw_centres():
+    # 0 in S sees two outside cliques {1, 2}, {3, 4}: no independent
+    # triple, so not a centre; 5 in S is the centre of the induced claw
+    # with leaves 6, 7, 8 outside S
+    g = Graph(9, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4),
+                  (5, 6), (5, 7), (5, 8)])
+    smask = mask_of({0, 5})
+    rmask = ((1 << g.n) - 1) & ~smask
+    assert finders._claw_centres(g.adj, smask, rmask) == 1 << 5
+    # joining two leaves breaks the claw
+    g2 = Graph(9, list(g.edges()) + [(6, 7)])
+    assert finders._claw_centres(g2.adj, smask, rmask) == 0
+    # a line graph is claw-free: no S vertex is a centre
+    for lg in seeded_line_graphs()[:5]:
+        s = mask_of(greedy_initial(lg))
+        rest = ((1 << lg.n) - 1) & ~s
+        assert finders._claw_centres(lg.adj, s, rest) == 0
 
 
 def test_catalog_plans_compile_once(monkeypatch, solver_catalog9):

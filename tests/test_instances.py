@@ -79,6 +79,12 @@ def test_gen_free_random_deterministic():
     assert gen_free_random(12, 0.4, pats, 9) != gen_free_random(12, 0.4, pats, 10)
 
 
+@pytest.mark.parametrize("density", [1.5, -1.0, float("nan")])
+def test_gen_free_random_rejects_bad_density(density):
+    with pytest.raises(ValueError, match="density"):
+        gen_free_random(10, density, [Pattern("S", (1, 1, 1))], 1)
+
+
 def test_gen_free_random_rejects_edgeless_pattern():
     with pytest.raises(GenerationError):
         gen_free_random(5, 0.5, [path_graph(1)], 0)

@@ -84,3 +84,8 @@ def test_extension_bound_small():
     # subdivided stars of orders 4 and 5
     assert rep.counts == {9: 1, 11: 1}
     assert rep.checked == 2
+
+
+def test_extension_bound_rejects_small_p():
+    with pytest.raises(ValueError, match="at least 2"):
+        verify_extension_bound(1, 7)
