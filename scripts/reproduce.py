@@ -51,7 +51,7 @@ def main() -> int:
     corpus = list(spider_free_bipartite_corpus(n_sweep))
     print(f"bipartite corpus       {len(corpus)} graphs up to {n_sweep} vertices")
     step("path-or-cycle", lambda: verify_path_or_cycle(n_sweep, corpus))
-    step("star anatomy", lambda: verify_star_anatomy(n_sweep, 3, corpus))
+    step("star anatomy", lambda: verify_star_anatomy(n_sweep, corpus))
     step("extension bound", lambda: verify_extension_bound(2, min(n_sweep + 1, 12)))
     step("min-classes census", lambda: verify_min_classes(n_cat, 4))
     res = bipartite_ramsey_search(2, 2)

@@ -19,6 +19,7 @@ from .graphs import (
 )
 from .patterns import (
     Pattern,
+    class_patterns,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -42,7 +43,6 @@ from .irreducible import (
     hall_surplus_check,
     is_irreducible,
     max_bipartite_matching,
-    verify_min_classes,
 )
 from .finders import (
     AugCandidate,
@@ -58,7 +58,6 @@ from .solver import (
     SolveResult,
     augment,
     brute_force_mis,
-    class_patterns,
     default_catalog,
     greedy_initial,
     solve_mis,
@@ -77,6 +76,7 @@ from .verify import (
     anatomy_violations,
     compute_anatomy,
     verify_extension_bound,
+    verify_min_classes,
     verify_path_or_cycle,
     verify_star_anatomy,
 )

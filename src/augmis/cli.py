@@ -14,6 +14,7 @@ import os
 import re
 import sys
 import time
+import warnings
 from typing import Optional, Sequence
 
 from . import __version__
@@ -27,7 +28,6 @@ from .instances import (
     plant_augmenting_tree,
 )
 from .io import (
-    GraphFormatError,
     format_catalog,
     format_dimacs,
     read_catalog,
@@ -39,9 +39,8 @@ from .irreducible import (
     SearchBudgetError,
     bipartite_ramsey_search,
     enumerate_irreducible,
-    verify_min_classes,
 )
-from .patterns import parse_pattern
+from .patterns import class_patterns, find_forbidden, parse_pattern
 from .solver import (
     SolveConfig,
     brute_force_mis,
@@ -51,6 +50,7 @@ from .solver import (
 )
 from .verify import (
     verify_extension_bound,
+    verify_min_classes,
     verify_path_or_cycle,
     verify_star_anatomy,
 )
@@ -95,11 +95,7 @@ def _emit_manifest(command: str, args: dict, started: float, summary: dict) -> N
 def _cmd_solve(args: argparse.Namespace) -> int:
     started = time.monotonic()
     g = _load_graph(args.graph)
-    cfg = SolveConfig(
-        p=args.p,
-        catalog_n_max=args.catalog_n_max,
-        validate_class=args.validate_class,
-    )
+    cfg = SolveConfig(p=args.p, catalog_n_max=args.catalog_n_max)
     if args.catalog:
         catalog = read_catalog(args.catalog)
         if not catalog_covers(catalog, cfg):
@@ -110,17 +106,18 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             )
     else:
         catalog = default_catalog(cfg)
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        result = solve_mis(g, cfg, catalog)
     violations = []
-    if result.class_violation is not None:
-        pat, emb = result.class_violation
+    hit = find_forbidden(g, class_patterns(cfg.p)) if args.validate_class else None
+    if hit is not None:
+        pat, emb = hit
         violations.append(
             {"pattern": str(pat), "embedding": {str(k): v for k, v in emb.items()}}
         )
+    # the tree finder warns on out-of-class inputs; the CLI reports class
+    # violations only under --validate-class
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = solve_mis(g, cfg, catalog)
     payload = {
         "alpha": result.alpha,
         "set": sorted(result.independent_set),
@@ -169,33 +166,30 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
     return 0
 
 
+def _ramsey_report(t: int, p: int) -> dict:
+    res = bipartite_ramsey_search(t, p)
+    return {
+        "name": "ramsey",
+        "params": {"t": t, "p": p},
+        "counts": {},
+        "checked": res.graphs_checked,
+        "value": res.value,
+        "violations": [],
+    }
+
+
+_LEMMAS = {
+    "path-or-cycle": lambda a: verify_path_or_cycle(a.n_max).to_json(),
+    "anatomy": lambda a: verify_star_anatomy(a.n_max).to_json(),
+    "extension": lambda a: verify_extension_bound(a.p, a.n_max).to_json(),
+    "min-classes": lambda a: verify_min_classes(a.n_max, a.t).to_json(),
+    "ramsey": lambda a: _ramsey_report(a.t, a.p),
+}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    if args.lemma == "path-or-cycle":
-        report = verify_path_or_cycle(args.n_max).to_json()
-    elif args.lemma == "anatomy":
-        report = verify_star_anatomy(args.n_max, args.k_min).to_json()
-    elif args.lemma == "extension":
-        report = verify_extension_bound(args.p, args.n_max).to_json()
-    elif args.lemma == "min-classes":
-        r = verify_min_classes(args.n_max, args.t)
-        report = {
-            "name": "min-classes",
-            "params": {"n_max": args.n_max, "t": args.t},
-            "counts": {str(k): v for k, v in sorted(r.census.items())},
-            "checked": r.total_free + len(r.flagged),
-            "violations": [{"code": c.hex()} for c in r.misses],
-        }
-    else:  # ramsey
-        res = bipartite_ramsey_search(args.t, args.p)
-        report = {
-            "name": "ramsey",
-            "params": {"t": args.t, "p": args.p},
-            "counts": {},
-            "checked": res.graphs_checked,
-            "value": res.value,
-            "violations": [],
-        }
+    report = _LEMMAS[args.lemma](args)
     if args.json:
         print(json.dumps(report, sort_keys=True))
     else:
@@ -297,13 +291,8 @@ def _build_parser() -> _Parser:
     p_atlas.set_defaults(func=_cmd_atlas)
 
     p_verify = sub.add_parser("verify", help="run a structure sweep")
-    p_verify.add_argument(
-        "--lemma",
-        required=True,
-        choices=["path-or-cycle", "anatomy", "extension", "min-classes", "ramsey"],
-    )
+    p_verify.add_argument("--lemma", required=True, choices=list(_LEMMAS))
     p_verify.add_argument("--n-max", type=int, default=10)
-    p_verify.add_argument("--k-min", type=int, default=3)
     p_verify.add_argument("--p", type=int, default=2)
     p_verify.add_argument("--t", type=int, default=4)
     p_verify.add_argument("--json", action="store_true")
@@ -335,13 +324,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (GraphFormatError, GenerationError, SearchBudgetError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (_CliError, GenerationError, SearchBudgetError, ValueError, OSError) as exc:
+        # GraphFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -107,11 +107,15 @@ def find_augmenting_path(g: Graph, s: Iterable[int]) -> Optional[AugCandidate]:
     adj = g.adj
     full = (1 << g.n) - 1
     rmask = full & ~smask
-    ends = mids = 0  # vertices outside S with one, two S-neighbours
+    # vertices outside S with at most one (the possible endpoints), exactly
+    # one and exactly two S-neighbours
+    starts = ends = mids = 0
     for v in bits(rmask):
         k = (adj[v] & smask).bit_count()
-        if k == 1:
-            ends |= 1 << v
+        if k <= 1:
+            starts |= 1 << v
+            if k:
+                ends |= 1 << v
         elif k == 2:
             mids |= 1 << v
 
@@ -130,56 +134,43 @@ def find_augmenting_path(g: Graph, s: Iterable[int]) -> Optional[AugCandidate]:
                 free_w &= ~nxt
         return False
 
-    def extend(
-        cur: int,
-        wmask: int,
-        bmask: int,
-        bnbr: int,
-        wnbr: int,
-        order: tuple[int, ...],
-    ) -> Optional[tuple[int, int, tuple[int, ...]]]:
-        # bnbr, wnbr: the vertices adjacent to a path black, a path white
+    # Depth first on an explicit stack, so no path length hits the
+    # recursion limit.  A frame holds the blacks still to try as the next
+    # path black, least first, and the path before it: its whites, its
+    # blacks, the vertices adjacent to a path black and to a path white,
+    # and its vertex order.
+    stack = [(starts, 0, 0, 0, 0, ())] if starts else []
+    while stack:
+        todo, wmask, bmask, bnbr, wnbr, order = stack.pop()
+        low = todo & -todo
+        if todo != low:
+            stack.append((todo ^ low, wmask, bmask, bnbr, wnbr, order))
+        cur = low.bit_length() - 1
+        bmask |= low
+        bnbr |= adj[cur]
         pending = adj[cur] & smask & ~wmask
         if pending == 0:
-            return wmask, bmask, order
-        if pending & (pending - 1):
-            return None  # two S-neighbours off the path: unfixable
-        w = pending.bit_length() - 1
-        if adj[w] & bmask != 1 << cur:
-            return None  # w would chord an earlier black
-        # unused blacks with no chord to a path black or an earlier white;
-        # every path white is adjacent to a path black
-        free_b = rmask & ~(bmask | bnbr | wnbr)
-        if not reaches_end(w, free_b, smask & ~bnbr):
-            return None
-        wmask2 = wmask | pending
-        wnbr2 = wnbr | adj[w]
-        for nb in bits(adj[w] & free_b):
-            hit = extend(
-                nb,
-                wmask2,
-                bmask | (1 << nb),
-                bnbr | adj[nb],
-                wnbr2,
-                order + (w, nb),
-            )
-            if hit is not None:
-                return hit
-        return None
-
-    for b0 in bits(rmask):
-        start = adj[b0] & smask
-        if start & (start - 1):
-            continue  # endpoints have at most one S-neighbour
-        hit = extend(b0, 0, 1 << b0, adj[b0], 0, (b0,))
-        if hit is not None:
-            wmask, bmask, order = hit
             cand = AugCandidate(
-                set_of(wmask), set_of(bmask), "path", detail=order
+                set_of(wmask), set_of(bmask), "path", detail=order + (cur,)
             )
             if __debug__:
                 assert is_augmenting(g, s, cand)
             return cand
+        if pending & (pending - 1):
+            continue  # two S-neighbours off the path: unfixable
+        w = pending.bit_length() - 1
+        if adj[w] & bmask != low:
+            continue  # w would chord an earlier black
+        # unused blacks with no chord to a path black or an earlier white;
+        # every path white is adjacent to a path black
+        free_b = rmask & ~(bmask | bnbr | wnbr)
+        if not reaches_end(w, free_b, smask & ~bnbr):
+            continue
+        nxt = adj[w] & free_b
+        if nxt:
+            stack.append(
+                (nxt, wmask | pending, bmask, bnbr, wnbr | adj[w], order + (cur, w))
+            )
     return None
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graphs import Graph, bits, is_independent
-from .patterns import Pattern, PatternLike, _as_graph, find_forbidden, is_free
+from .patterns import PatternLike, _as_graph, class_patterns, find_forbidden, is_free
 
 __all__ = [
     "line_graph",
@@ -198,7 +198,7 @@ def plant_augmenting_tree(spec: PlantSpec) -> tuple[Graph, frozenset[int]]:
             edges += [(a, b) for a in middles]
 
     g = Graph(n, edges)
-    pats = (Pattern("S", (1, 1, 3)), Pattern("K", (p, p)))
+    pats = class_patterns(p)
     if not is_free(g, pats):
         raise GenerationError("planted wiring left the target class")
 

@@ -1,4 +1,4 @@
-"""Minimal augmenting graphs: predicate, catalogue, and small census tools.
+"""Minimal augmenting graphs: predicate, catalogue, and a matching-forcing search.
 
 A two-coloured bipartite graph (whites W, blacks B) is *irreducible* when
 |W| = |B| - 1, every non-empty A of W has strictly more than |A|
@@ -11,13 +11,13 @@ vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .canonical import canon_code, decode_code
 from .enumeration import grow_balanced_bicolored_raw
 from .graphs import Graph, bits, connected_components, is_independent
-from .patterns import Pattern, find_forbidden
+from .patterns import Pattern
 
 __all__ = [
     "ColoredBipartite",
@@ -31,8 +31,6 @@ __all__ = [
     "enumerate_irreducible",
     "RamseyResult",
     "bipartite_ramsey_search",
-    "MinClassReport",
-    "verify_min_classes",
     "SearchBudgetError",
     "MAX_ENUM_VERTICES",
 ]
@@ -337,67 +335,3 @@ def bipartite_ramsey_search(
         f"no forcing size found with matchings up to {max_matching}"
     )
 
-
-# -- census of pattern-free irreducible graphs ------------------------------
-
-
-@dataclass(frozen=True)
-class MinClassReport:
-    """Census of irreducible graphs avoiding the three minimal families."""
-
-    t: int
-    n_max: int
-    census: dict[int, int] = field(compare=False)
-    total_free: int
-    flagged: tuple[tuple[int, bytes, str], ...]  # (n, code, witness pattern)
-    misses: tuple[bytes, ...]  # excluded entries with no witness (bug if any)
-
-    @property
-    def ok(self) -> bool:
-        return not self.misses
-
-
-def verify_min_classes(n_max: int, t: int) -> MinClassReport:
-    """Classify all irreducible graphs on <= n_max vertices against the
-    patterns P(t), K(t-1,t), T(t): count the free ones per vertex count
-    and fetch an induced witness from every excluded one.
-    """
-    if t < 2:
-        raise ValueError("t must be at least 2")
-    pats = (
-        Pattern("P", (t,)),
-        Pattern("K", (t - 1, t)),
-        Pattern("T", (t,)),
-    )
-    census = {n: 0 for n in range(1, n_max + 1, 2)}
-    flagged = []
-    misses = []
-    total_free = 0
-    for entry in enumerate_irreducible(n_max).entries:
-        g = entry.graph.graph
-        hit = find_forbidden(g, pats)
-        if hit is None:
-            census[g.n] += 1
-            total_free += 1
-        else:
-            pat, emb = hit
-            ok = _witness_is_induced(g, pat, emb)
-            if ok:
-                flagged.append((g.n, entry.code, str(pat)))
-            else:
-                misses.append(entry.code)
-    return MinClassReport(
-        t, n_max, census, total_free, tuple(flagged), tuple(misses)
-    )
-
-
-def _witness_is_induced(g: Graph, pat: Pattern, emb: dict[int, int]) -> bool:
-    p = pat.build()
-    img = list(emb.values())
-    if len(set(img)) != p.n:
-        return False
-    for u in range(p.n):
-        for v in range(u + 1, p.n):
-            if p.has_edge(u, v) != g.has_edge(emb[u], emb[v]):
-                return False
-    return True

@@ -24,6 +24,7 @@ from .graphs import Graph, bits
 
 __all__ = [
     "Pattern",
+    "class_patterns",
     "parse_pattern",
     "path_graph",
     "cycle_graph",
@@ -125,6 +126,11 @@ class Pattern:
 
     def __str__(self) -> str:
         return self.kind + "x".join(str(p) for p in self.params)
+
+
+def class_patterns(p: int) -> tuple[Pattern, Pattern]:
+    """The forbidden pair defining the target class for parameter p."""
+    return Pattern("S", (1, 1, 3)), Pattern("K", (p, p))
 
 
 _PATTERN_RE = re.compile(r"^([PCKST])(\d+(?:x\d+)*)$")

@@ -13,13 +13,11 @@ small sizes.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
 from .finders import (
     AugCandidate,
-    ClassViolationWarning,
     find_augmenting_path,
     find_from_catalog,
     find_tree_extension,
@@ -27,7 +25,7 @@ from .finders import (
 )
 from .graphs import Graph, bits, is_independent, set_of
 from .irreducible import Catalog, enumerate_irreducible
-from .patterns import Pattern, find_forbidden
+from .patterns import Pattern, class_patterns
 
 __all__ = [
     "SolveConfig",
@@ -52,13 +50,11 @@ class SolveConfig:
 
     ``p`` is the class parameter (the forbidden biclique is K(p,p)).
     ``catalog_n_max`` is the largest irreducible augmenting graph, in
-    vertices, the catalogue finder looks for.  ``validate_class`` checks
-    the input against the class patterns first.
+    vertices, the catalogue finder looks for.
     """
 
     p: int = 3
     catalog_n_max: int = 9
-    validate_class: bool = False
 
     def __post_init__(self) -> None:
         if self.p < 2:
@@ -73,12 +69,6 @@ class SolveResult:
     alpha: int
     iterations: int
     finder_hits: dict[str, int] = field(compare=False)
-    class_violation: Optional[tuple[Pattern, dict[int, int]]] = None
-
-
-def class_patterns(p: int) -> tuple[Pattern, Pattern]:
-    """The forbidden pair defining the target class for parameter p."""
-    return Pattern("S", (1, 1, 3)), Pattern("K", (p, p))
 
 
 def greedy_initial(g: Graph) -> frozenset[int]:
@@ -127,7 +117,9 @@ def default_catalog(cfg: SolveConfig) -> Catalog:
     biclique K(p,p).  Results are memoised per process and, when the
     directory named by AUGMIS_CATALOG_DIR exists or can be created,
     cached on disk.  The cache file is replaced atomically; when read back
-    it is validated, and rebuilt and rewritten unless it covers ``cfg``.
+    it is validated, and rebuilt and rewritten unless it parses and covers
+    ``cfg``.  A directory that cannot be made or written leaves the
+    catalogue uncached.
     """
     filters = _default_filters(cfg.p)
     key = (cfg.catalog_n_max, filters)
@@ -137,23 +129,26 @@ def default_catalog(cfg: SolveConfig) -> Catalog:
     cache_dir = os.environ.get(CATALOG_DIR_ENV)
     path = None
     if cache_dir:
+        from .io import read_catalog, write_catalog
+
         slug = "-".join(str(f) for f in filters)
         path = os.path.join(
             cache_dir, f"catalog-n{cfg.catalog_n_max}-{slug}.txt"
         )
-        if os.path.exists(path):
-            from .io import read_catalog
-
+        try:
             cat = read_catalog(path)
-            if not catalog_covers(cat, cfg):
-                cat = None
+        except (OSError, ValueError):
+            pass  # missing, unreadable or malformed: rebuilt below
+        if cat is not None and not catalog_covers(cat, cfg):
+            cat = None
     if cat is None:
         cat = enumerate_irreducible(cfg.catalog_n_max, filters)
         if path is not None:
-            from .io import write_catalog
-
-            os.makedirs(cache_dir, exist_ok=True)
-            write_catalog(cat, path)
+            try:
+                os.makedirs(cache_dir, exist_ok=True)
+                write_catalog(cat, path)
+            except OSError:
+                pass  # no usable cache directory: serve the catalogue uncached
     _CATALOG_MEMO[key] = cat
     return cat
 
@@ -165,22 +160,11 @@ def solve_mis(
 ) -> SolveResult:
     """Maximum independent set by iterated augmentation.
 
-    With ``cfg.validate_class`` the graph is first checked against the
-    class patterns; a violation is reported in the result (and warned
-    about) but solving proceeds best effort, and the output is still a
-    valid independent set.
+    Inputs outside the class are solved best effort: the output is still
+    a valid independent set.  ``find_forbidden(g, class_patterns(p))``
+    tells whether ``g`` lies in the class.
     """
     cfg = cfg or SolveConfig()
-    violation = None
-    if cfg.validate_class:
-        violation = find_forbidden(g, class_patterns(cfg.p))
-        if violation is not None:
-            warnings.warn(
-                f"input contains a forbidden {violation[0]}; solving best "
-                "effort, optimality not guaranteed",
-                ClassViolationWarning,
-                stacklevel=2,
-            )
     if catalog is None:
         catalog = default_catalog(cfg)
 
@@ -203,7 +187,7 @@ def solve_mis(
         iterations += 1
         if iterations > g.n:
             raise RuntimeError("augmentation loop exceeded |V| iterations")
-    return SolveResult(s, len(s), iterations, hits, violation)
+    return SolveResult(s, len(s), iterations, hits)
 
 
 class MisResult(NamedTuple):

@@ -18,6 +18,8 @@ from .irreducible import enumerate_irreducible
 from .patterns import (
     Pattern,
     all_maximal_subdivided_stars,
+    class_patterns,
+    find_forbidden,
     find_induced,
 )
 
@@ -30,9 +32,11 @@ __all__ = [
     "verify_path_or_cycle",
     "verify_star_anatomy",
     "verify_extension_bound",
+    "verify_min_classes",
 ]
 
 _SPIDER = Pattern("S", (1, 1, 3))
+_MIN_STAR_ORDER = 3  # the anatomy statements need star order at least 3
 
 
 @dataclass(frozen=True)
@@ -200,6 +204,10 @@ def anatomy_covers(g: Graph, a: StarAnatomy) -> bool:
 
 @dataclass(frozen=True)
 class SweepReport:
+    """One sweep's outcome: ``checked`` members tested, ``counts`` per
+    vertex count of what the sweep tallies, and one witness dict per
+    violation."""
+
     name: str
     params: dict = field(compare=False)
     counts: dict[int, int] = field(compare=False)
@@ -274,15 +282,13 @@ def verify_path_or_cycle(
 
 
 def verify_star_anatomy(
-    n_max: int, k_min: int = 3, corpus: Optional[Iterable[Graph]] = None
+    n_max: int, corpus: Optional[Iterable[Graph]] = None
 ) -> SweepReport:
     """All eight structure statements, on every maximal star of order
-    >= k_min in every connected bipartite spider-free graph <= n_max.
+    >= 3 in every connected bipartite spider-free graph <= n_max.
 
     Also asserts the strata cover the whole (connected) graph.
     """
-    if k_min < 3:
-        raise ValueError("the statements need star order at least 3")
     if n_max > 13:
         raise ValueError("sweep capped at 13 vertices")
     counts: dict[int, int] = {}
@@ -290,9 +296,11 @@ def verify_star_anatomy(
     violations = []
     for g in corpus if corpus is not None else spider_free_bipartite_corpus(n_max):
         for centre in range(g.n):
-            if g.degree(centre) < k_min:
+            if g.degree(centre) < _MIN_STAR_ORDER:
                 continue
-            for mid, leaf in all_maximal_subdivided_stars(g, centre, k_min):
+            for mid, leaf in all_maximal_subdivided_stars(
+                g, centre, _MIN_STAR_ORDER
+            ):
                 checked += 1
                 counts[g.n] = counts.get(g.n, 0) + 1
                 anatomy = compute_anatomy(g, centre, mid, leaf)
@@ -311,7 +319,7 @@ def verify_star_anatomy(
                     )
     return SweepReport(
         "anatomy",
-        {"n_max": n_max, "k_min": k_min},
+        {"n_max": n_max, "k_min": _MIN_STAR_ORDER},
         counts,
         checked,
         tuple(violations),
@@ -331,10 +339,7 @@ def verify_extension_bound(p: int, n_max: int) -> SweepReport:
     counts: dict[int, int] = {}
     checked = 0
     violations = []
-    catalog = enumerate_irreducible(
-        n_max, (_SPIDER, Pattern("K", (p, p)))
-    )
-    for entry in catalog.entries:
+    for entry in enumerate_irreducible(n_max, class_patterns(p)).entries:
         h = entry.graph
         g = h.graph
         if g.n < 2 * (p + 2) + 1 or find_induced(g, star) is None:
@@ -365,3 +370,46 @@ def verify_extension_bound(p: int, n_max: int) -> SweepReport:
         checked,
         tuple(violations),
     )
+
+
+def verify_min_classes(n_max: int, t: int) -> SweepReport:
+    """Classify all irreducible graphs on <= n_max vertices against the
+    patterns P(t), K(t-1,t), T(t): count the free ones per vertex count,
+    and report every excluded one whose witness is not induced.
+    """
+    if t < 2:
+        raise ValueError("t must be at least 2")
+    pats = (
+        Pattern("P", (t,)),
+        Pattern("K", (t - 1, t)),
+        Pattern("T", (t,)),
+    )
+    counts = {n: 0 for n in range(1, n_max + 1, 2)}
+    entries = enumerate_irreducible(n_max).entries
+    violations = []
+    for entry in entries:
+        g = entry.graph.graph
+        hit = find_forbidden(g, pats)
+        if hit is None:
+            counts[g.n] += 1
+        elif not _witness_is_induced(g, *hit):
+            violations.append({"code": entry.code.hex()})
+    return SweepReport(
+        "min-classes",
+        {"n_max": n_max, "t": t},
+        counts,
+        len(entries),
+        tuple(violations),
+    )
+
+
+def _witness_is_induced(g: Graph, pat: Pattern, emb: dict[int, int]) -> bool:
+    p = pat.build()
+    img = list(emb.values())
+    if len(set(img)) != p.n:
+        return False
+    for u in range(p.n):
+        for v in range(u + 1, p.n):
+            if p.has_edge(u, v) != g.has_edge(emb[u], emb[v]):
+                return False
+    return True

@@ -35,6 +35,15 @@ def petersen() -> Graph:
     return Graph(10, outer + spokes + inner)
 
 
+def path_greedy_takes_odd_positions(n: int) -> Graph:
+    """P(n), n odd, labelled so that ascending-id greedy takes the
+    (n - 1) / 2 odd positions: the one augmenting path is the whole
+    path."""
+    half = n // 2
+    ids = [i // 2 if i % 2 else half + i // 2 for i in range(n)]
+    return Graph(n, [(ids[i], ids[i + 1]) for i in range(n - 1)])
+
+
 @pytest.fixture(scope="session")
 def solver_catalog9():
     """Catalogue the p=3 solver uses at the n<=9 desk scale."""

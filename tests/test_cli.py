@@ -2,7 +2,8 @@ import json
 import os
 
 from augmis.cli import main
-from augmis.io import read_graph
+from augmis.io import read_graph, write_graph
+from conftest import path_greedy_takes_odd_positions
 
 
 def run(capsys, *argv):
@@ -52,14 +53,34 @@ def test_solve_file_and_text_output(tmp_path, capsys):
 
 
 def test_solve_class_violation_exit_code(capsys):
-    # spider(1,1,4) contains the forbidden spider(1,1,3)
+    # spider(1,1,4) contains the forbidden spider(1,1,3); full stdout pinned
     code, out, err = run(capsys, "solve", "S1x1x4", "--validate-class", "--json")
     assert code == 2
-    payload = json.loads(out)
-    assert payload["violations"] and payload["violations"][0]["pattern"] == "S1x1x3"
+    assert out == (
+        '{"alpha": 4, "finders": {"catalog": 0, "path": 1, "tree": 0}, '
+        '"iterations": 1, "set": [1, 2, 4, 6], "violations": [{"embedding": '
+        '{"0": 0, "1": 1, "2": 2, "3": 3, "4": 4, "5": 5}, '
+        '"pattern": "S1x1x3"}]}\n'
+    )
     # without validation the same input exits 0
     code, _, _ = run(capsys, "solve", "S1x1x4", "--json")
     assert code == 0
+    # a class graph passes validation
+    code, out, _ = run(capsys, "solve", "C5", "--validate-class", "--json")
+    assert code == 0
+    assert out == (
+        '{"alpha": 2, "finders": {"catalog": 0, "path": 0, "tree": 0}, '
+        '"iterations": 0, "set": [0, 2], "violations": []}\n'
+    )
+
+
+def test_solve_long_path_file(tmp_path, capsys):
+    path = tmp_path / "p2401.col"
+    write_graph(path_greedy_takes_odd_positions(2401), str(path))
+    code, out, err = run(capsys, "solve", str(path), "--json")
+    assert code == 0 and "Traceback" not in err
+    payload = json.loads(out)
+    assert payload["alpha"] == 1201 and payload["iterations"] == 1
 
 
 def test_solve_missing_file(capsys):
@@ -143,29 +164,49 @@ def test_solve_with_malformed_catalog_file(tmp_path, capsys):
     assert "error" in err and "line 5" in err and "Traceback" not in err
 
 
+_VERIFY_GOLDEN = [
+    (
+        ("--lemma", "path-or-cycle", "--n-max", "9"),
+        '{"checked": 2, "counts": {"8": 1, "9": 1}, "name": "path-or-cycle", '
+        '"params": {"n_max": 9}, "violations": []}\n',
+    ),
+    (
+        ("--lemma", "ramsey", "--t", "2", "--p", "2"),
+        '{"checked": 67, "counts": {}, "name": "ramsey", '
+        '"params": {"p": 2, "t": 2}, "value": 3, "violations": []}\n',
+    ),
+    (
+        ("--lemma", "min-classes", "--n-max", "7", "--t", "4"),
+        '{"checked": 25, "counts": {"1": 1, "3": 1, "5": 1, "7": 0}, '
+        '"name": "min-classes", "params": {"n_max": 7, "t": 4}, '
+        '"violations": []}\n',
+    ),
+    (
+        ("--lemma", "anatomy", "--n-max", "8"),
+        '{"checked": 8, "counts": {"7": 1, "8": 7}, "name": "anatomy", '
+        '"params": {"k_min": 3, "n_max": 8}, "violations": []}\n',
+    ),
+    (
+        ("--lemma", "extension", "--p", "2", "--n-max", "10"),
+        '{"checked": 1, "counts": {"9": 1}, "name": "extension", '
+        '"params": {"n_max": 10, "p": 2}, "violations": []}\n',
+    ),
+]
+
+
 def test_verify_lemmas_quick(capsys):
-    code, out, _ = run(capsys, "verify", "--lemma", "path-or-cycle", "--n-max", "9", "--json")
+    # full stdout of each report is pinned
+    for argv, golden in _VERIFY_GOLDEN:
+        code, out, _ = run(capsys, "verify", *argv, "--json")
+        assert code == 0 and out == golden, argv
+    code, out, _ = run(
+        capsys, "verify", "--lemma", "min-classes", "--n-max", "7", "--t", "4"
+    )
     assert code == 0
-    payload = json.loads(out)
-    assert payload["counts"] == {"8": 1, "9": 1}
-    assert payload["violations"] == []
-
-    code, out, _ = run(capsys, "verify", "--lemma", "ramsey", "--t", "2", "--p", "2", "--json")
-    assert code == 0
-    assert json.loads(out)["value"] == 3
-
-    code, out, _ = run(capsys, "verify", "--lemma", "min-classes", "--n-max", "7", "--t", "4", "--json")
-    assert code == 0
-    assert json.loads(out)["violations"] == []
-
-    code, out, _ = run(capsys, "verify", "--lemma", "anatomy", "--n-max", "8", "--json")
-    assert code == 0
-    assert json.loads(out)["violations"] == []
-
-    code, out, _ = run(capsys, "verify", "--lemma", "extension", "--p", "2", "--n-max", "10", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["violations"] == [] and payload["counts"] == {"9": 1}
+    assert out == (
+        "lemma min-classes\ncount n=1 1\ncount n=3 1\ncount n=5 1\n"
+        "count n=7 0\nchecked 25\nviolations 0\n"
+    )
 
 
 def test_gen_line_graph(tmp_path, capsys):

@@ -26,9 +26,9 @@ from augmis import (
     solve_mis,
 )
 from augmis.enumeration import grow_graphs
-from augmis.finders import ClassViolationWarning
+from augmis.io import read_catalog, write_catalog
 from augmis.solver import catalog_covers
-from conftest import graphs_st, petersen
+from conftest import graphs_st, path_greedy_takes_odd_positions, petersen
 
 
 def test_greedy_examples():
@@ -91,14 +91,23 @@ def test_solve_deterministic(solver_catalog9):
     assert a.finder_hits == b.finder_hits
 
 
-def test_solve_reports_class_violation(solver_catalog9):
-    from augmis import spider
+def test_class_patterns_flag_out_of_class_input(solver_catalog9):
+    from augmis import find_forbidden, spider
 
     g = spider(1, 1, 4)  # contains the forbidden spider(1,1,3)
-    cfg = SolveConfig(validate_class=True)
-    with pytest.warns(ClassViolationWarning):
-        r = solve_mis(g, cfg, solver_catalog9)
-    assert r.class_violation is not None
+    pat, _ = find_forbidden(g, class_patterns(3))
+    assert pat == Pattern("S", (1, 1, 3))
+    r = solve_mis(g, catalog=solver_catalog9)
+    assert is_independent(g, r.independent_set)
+    assert find_forbidden(cycle_graph(5), class_patterns(3)) is None
+
+
+def test_solve_long_path_with_one_augmenting_path(solver_catalog9):
+    g = path_greedy_takes_odd_positions(2401)
+    assert len(greedy_initial(g)) == 1200
+    r = solve_mis(g, catalog=solver_catalog9)
+    assert r.alpha == 1201 and r.iterations == 1
+    assert r.finder_hits["path"] == 1
     assert is_independent(g, r.independent_set)
 
 
@@ -160,7 +169,6 @@ def test_solve_matches_brute_force_on_class_graphs_n7(solver_catalog9):
 
 def test_catalog_cache_that_does_not_cover_is_rebuilt(tmp_path, monkeypatch):
     import augmis.solver as solver_mod
-    from augmis.io import read_catalog, write_catalog
 
     # an unfiltered n <= 3 catalogue under the name of the n <= 5 default
     path = tmp_path / "catalog-n5-P8-T5-K3x3.txt"
@@ -175,6 +183,35 @@ def test_catalog_cache_that_does_not_cover_is_rebuilt(tmp_path, monkeypatch):
     )
     assert read_catalog(str(path)) == cat
     assert os.listdir(tmp_path) == [path.name]
+
+
+def test_catalog_cache_that_does_not_parse_is_rebuilt(tmp_path, monkeypatch):
+    import augmis.solver as solver_mod
+
+    path = tmp_path / "catalog-n5-P8-T5-K3x3.txt"
+    path.write_text("garbage\n")
+    monkeypatch.setenv(solver_mod.CATALOG_DIR_ENV, str(tmp_path))
+    monkeypatch.setattr(solver_mod, "_CATALOG_MEMO", {})
+    cfg = SolveConfig(catalog_n_max=5)
+    assert solve_mis(path_graph(5), cfg).alpha == 3
+    cat = read_catalog(str(path))
+    assert catalog_covers(cat, cfg) and cat.max_vertices == 5
+    assert os.listdir(tmp_path) == [path.name]
+
+
+def test_catalog_cache_under_a_regular_file_is_skipped(tmp_path, monkeypatch):
+    import augmis.solver as solver_mod
+
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("not a directory\n")
+    monkeypatch.setenv(solver_mod.CATALOG_DIR_ENV, str(blocker / "cache"))
+    monkeypatch.setattr(solver_mod, "_CATALOG_MEMO", {})
+    cfg = SolveConfig(catalog_n_max=5)
+    cat = default_catalog(cfg)
+    assert catalog_covers(cat, cfg) and cat.max_vertices == 5
+    assert solve_mis(path_graph(5), cfg).alpha == 3
+    assert os.listdir(tmp_path) == [blocker.name]
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_catalog_covers_bound_and_filters(solver_catalog9, unfiltered_catalog9):

@@ -2,9 +2,12 @@ import pytest
 
 from augmis import (
     Graph,
+    Pattern,
     compute_anatomy,
+    enumerate_irreducible,
     subdivided_star,
     verify_extension_bound,
+    verify_min_classes,
     verify_path_or_cycle,
     verify_star_anatomy,
 )
@@ -72,8 +75,6 @@ def test_star_anatomy_small():
 
 def test_star_anatomy_bound_checks():
     with pytest.raises(ValueError):
-        verify_star_anatomy(9, k_min=2)
-    with pytest.raises(ValueError):
         verify_star_anatomy(14)
 
 
@@ -89,3 +90,23 @@ def test_extension_bound_small():
 def test_extension_bound_rejects_small_p():
     with pytest.raises(ValueError, match="at least 2"):
         verify_extension_bound(1, 7)
+
+
+def test_min_classes_reports_witnesses_that_are_not_induced(monkeypatch):
+    import augmis.verify as verify_mod
+
+    # a witness that maps two pattern vertices onto one host vertex
+    def bogus(g, pats):
+        if g.n < 4:
+            return None
+        return Pattern("P", (4,)), {0: 0, 1: 0, 2: 1, 3: 2}
+
+    monkeypatch.setattr(verify_mod, "find_forbidden", bogus)
+    rep = verify_min_classes(5, 4)
+    assert not rep.ok
+    assert rep.counts == {1: 1, 3: 1, 5: 0} and rep.checked == 5
+    assert rep.violations == tuple(
+        {"code": e.code.hex()}
+        for e in enumerate_irreducible(5).entries
+        if e.graph.graph.n == 5
+    )
