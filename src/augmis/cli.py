@@ -28,6 +28,7 @@ from .instances import (
     plant_augmenting_tree,
 )
 from .io import (
+    _format_census,
     format_catalog,
     format_dimacs,
     read_catalog,
@@ -101,8 +102,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if not catalog_covers(catalog, cfg):
             raise _CliError(
                 f"catalogue {args.catalog} (n_max {catalog.max_vertices}, "
-                f"filters {','.join(map(str, catalog.filters)) or '-'}) does "
-                f"not cover --catalog-n-max {cfg.catalog_n_max} --p {cfg.p}"
+                f"filters {','.join(map(str, catalog.filters)) or '-'}, "
+                f"census {_format_census(catalog.census())}) does not cover "
+                f"--catalog-n-max {cfg.catalog_n_max} --p {cfg.p}"
             )
     else:
         catalog = default_catalog(cfg)
@@ -155,8 +157,8 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
         write_catalog(cat, args.out)
     else:
         sys.stdout.write(format_catalog(cat))
-    census = " ".join(f"{n}:{c}" for n, c in sorted(cat.census().items()))
-    print(f"catalog entries {len(cat)} census {census or '-'}", file=sys.stderr)
+    census = _format_census(cat.census())
+    print(f"catalog entries {len(cat)} census {census}", file=sys.stderr)
     _emit_manifest(
         "atlas",
         {"n_max": args.n_max, "filters": args.filters, "out": args.out},

@@ -12,6 +12,7 @@ stars, and members of a finite catalogue.
 from __future__ import annotations
 
 import warnings
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
@@ -296,7 +297,7 @@ def _pick_leaves(
 
 
 def find_from_catalog(
-    g: Graph, s: Iterable[int], catalog: Catalog
+    g: Graph, s: Iterable[int], catalog: Catalog, *, paths_ruled_out: bool = False
 ) -> Optional[AugCandidate]:
     """First catalogue entry embeddable as an augmenting subgraph.
 
@@ -308,7 +309,8 @@ def find_from_catalog(
     compiled once per process into a search plan for the shared
     ``patterns._search`` engine: the plan starts at a black of maximum
     degree and every later vertex attaches to an already-placed one, so
-    no position branches over all of S or all of V - S.
+    no position branches over all of S or all of V - S.  The compiled
+    scan of a catalogue object is kept for its lifetime.
 
     Claw-centre bound: entry blacks are independent, so a white of entry
     degree 3 or more is placed on a vertex of S whose neighbours outside
@@ -318,6 +320,14 @@ def find_from_catalog(
     unchanged, so the result is the one the search over all of S finds;
     on claw-free graphs every entry with such a white is skipped by the
     per-domain count check.
+
+    ``paths_ruled_out`` states that ``find_augmenting_path(g, s)`` has
+    returned None.  The scan then leaves out the entries that are paths
+    (maximum degree at most 2; entries are connected with one more black
+    than white, so none is a cycle).  An embedded path entry is an
+    augmenting chordless alternating path, which that exhaustive search
+    would have found, so no such entry can embed and the result is the
+    one the full scan returns.
     """
     s = frozenset(s)
     smask = mask_of(s)
@@ -333,8 +343,7 @@ def find_from_catalog(
     g_deg = [m.bit_count() for m in adj]
     images = [0] * n
 
-    for entry in catalog.entries:
-        hn, plan, need = _ENTRY_PLANS.get(entry.code) or _compile_entry(entry)
+    for entry, hn, plan, need in _scan_of(catalog, paths_ruled_out):
         if hn > n:
             continue
         # blacks of an entry that fits have degree < n, so k <= n + 1
@@ -362,6 +371,30 @@ def find_from_catalog(
 # entry code (a catalogue entry's graph is the decoding of its code).
 _EntryPlan = tuple[int, _Plan, tuple[tuple[int, int], ...]]
 _ENTRY_PLANS: dict[bytes, _EntryPlan] = {}
+
+# The scan of a catalogue: (entry, *compiled plan) in catalogue order.
+_ScanItem = tuple[CatalogEntry, int, _Plan, tuple[tuple[int, int], ...]]
+# Scans keyed by (id(catalog), paths_ruled_out).  Each keeps a weak
+# reference to its catalogue: the identity check guards against a reused
+# id, and the reference's callback drops the scan with the catalogue.
+_SCANS: dict[tuple[int, bool], tuple[weakref.ref, list[_ScanItem]]] = {}
+
+
+def _scan_of(catalog: Catalog, paths_ruled_out: bool) -> list[_ScanItem]:
+    key = (id(catalog), paths_ruled_out)
+    memo = _SCANS.get(key)
+    if memo is not None and memo[0]() is catalog:
+        return memo[1]
+    scan = []
+    for entry in catalog.entries:
+        hg = entry.graph.graph
+        if paths_ruled_out and all(m.bit_count() <= 2 for m in hg.adj):
+            continue
+        compiled = _ENTRY_PLANS.get(entry.code) or _compile_entry(entry)
+        scan.append((entry, *compiled))
+    ref = weakref.ref(catalog, lambda _: _SCANS.pop(key, None))
+    _SCANS[key] = (ref, scan)
+    return scan
 
 
 def _claw_centres(adj: tuple[int, ...], smask: int, rmask: int) -> int:

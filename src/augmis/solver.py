@@ -25,7 +25,7 @@ from .finders import (
 )
 from .graphs import Graph, bits, is_independent, set_of
 from .irreducible import Catalog, enumerate_irreducible
-from .patterns import Pattern, class_patterns
+from .patterns import Pattern, class_patterns, is_free
 
 __all__ = [
     "SolveConfig",
@@ -37,6 +37,7 @@ __all__ = [
     "MisResult",
     "default_catalog",
     "catalog_covers",
+    "DEFAULT_CATALOG_CENSUS",
     "class_patterns",
     "CATALOG_DIR_ENV",
 ]
@@ -98,15 +99,47 @@ def _default_filters(p: int) -> tuple[Pattern, ...]:
     return Pattern("P", (8,)), Pattern("T", (p + 2,)), Pattern("K", (p, p))
 
 
+# Per-size census of the default catalogue for each class parameter p the
+# package ships with, frozen up to the bound it was enumerated at; a
+# smaller bound reads a prefix.  Irreducible graphs have one more black
+# than white, so every size is odd.
+DEFAULT_CATALOG_CENSUS: dict[int, tuple[int, dict[int, int]]] = {
+    2: (9, {1: 1, 3: 1, 5: 1, 7: 3, 9: 6}),
+    3: (9, {1: 1, 3: 1, 5: 3, 7: 17, 9: 213}),
+}
+
+
+def _frozen_census(cfg: SolveConfig) -> Optional[dict[int, int]]:
+    row = DEFAULT_CATALOG_CENSUS.get(cfg.p)
+    if row is None or cfg.catalog_n_max > row[0]:
+        return None
+    return {n: c for n, c in row[1].items() if n <= cfg.catalog_n_max}
+
+
 def catalog_covers(cat: Catalog, cfg: SolveConfig) -> bool:
     """True iff ``cat`` holds every entry ``default_catalog(cfg)`` holds.
 
-    That is the case when its vertex bound reaches ``cfg.catalog_n_max``
-    and it was built with no filter beyond the default ones.
+    Its vertex bound must reach ``cfg.catalog_n_max``, it must be built
+    with no filter beyond the default ones, and its entries that are free
+    of the default filters and within the bound must match, size by size,
+    the default census: the frozen row of ``DEFAULT_CATALOG_CENSUS``, or
+    else the census of an in-memory ``default_catalog(cfg)``.  Entries
+    read from a file are distinct, canonical and irreducible, so equal
+    counts mean equal sets, and a truncated catalogue is rejected.
     """
-    return cat.max_vertices >= cfg.catalog_n_max and set(cat.filters) <= set(
-        _default_filters(cfg.p)
-    )
+    defaults = _default_filters(cfg.p)
+    if cat.max_vertices < cfg.catalog_n_max or not set(cat.filters) <= set(defaults):
+        return False
+    unchecked = [f for f in defaults if f not in cat.filters]
+    census: dict[int, int] = {}
+    for e in cat.entries:
+        h = e.graph.graph
+        if h.n <= cfg.catalog_n_max and is_free(h, unchecked):
+            census[h.n] = census.get(h.n, 0) + 1
+    want = _frozen_census(cfg)
+    if want is None:
+        want = default_catalog(cfg).census()
+    return census == want
 
 
 def default_catalog(cfg: SolveConfig) -> Catalog:
@@ -116,10 +149,12 @@ def default_catalog(cfg: SolveConfig) -> Catalog:
     (long paths via P(8), large star extensions via T(p+2)) plus the class
     biclique K(p,p).  Results are memoised per process and, when the
     directory named by AUGMIS_CATALOG_DIR exists or can be created,
-    cached on disk.  The cache file is replaced atomically; when read back
-    it is validated, and rebuilt and rewritten unless it parses and covers
-    ``cfg``.  A directory that cannot be made or written leaves the
-    catalogue uncached.
+    cached on disk where ``DEFAULT_CATALOG_CENSUS`` has a row for ``cfg``
+    (elsewhere a cache file could only be checked by building the
+    catalogue it stands for).  The cache file is replaced atomically;
+    when read back it is validated, and rebuilt and rewritten unless it
+    parses and covers ``cfg``.  A directory that cannot be made or
+    written leaves the catalogue uncached.
     """
     filters = _default_filters(cfg.p)
     key = (cfg.catalog_n_max, filters)
@@ -128,7 +163,7 @@ def default_catalog(cfg: SolveConfig) -> Catalog:
         return cat
     cache_dir = os.environ.get(CATALOG_DIR_ENV)
     path = None
-    if cache_dir:
+    if cache_dir and _frozen_census(cfg) is not None:
         from .io import read_catalog, write_catalog
 
         slug = "-".join(str(f) for f in filters)
@@ -160,6 +195,13 @@ def solve_mis(
 ) -> SolveResult:
     """Maximum independent set by iterated augmentation.
 
+    Each round runs the path, star-extension and catalogue finders in
+    that order.  The catalogue runs only after the path finder has missed
+    on the same set, and that search is exhaustive, so the catalogue scan
+    leaves out the entries that are paths: any of them that embedded
+    would be an augmenting path the path finder had found.  The result is
+    the one the full catalogue gives.
+
     Inputs outside the class are solved best effort: the output is still
     a valid independent set.  ``find_forbidden(g, class_patterns(p))``
     tells whether ``g`` lies in the class.
@@ -179,7 +221,7 @@ def solve_mis(
             cand = find_tree_extension(g, s, cfg.p)
         if cand is None:
             name = "catalog"
-            cand = find_from_catalog(g, s, catalog)
+            cand = find_from_catalog(g, s, catalog, paths_ruled_out=True)
         if cand is None:
             break
         hits[name] += 1

@@ -152,6 +152,23 @@ def test_solve_rejects_catalog_file_that_does_not_cover(tmp_path, capsys):
     assert code == 1 and out == "" and "error:" in err
 
 
+def test_solve_rejects_truncated_catalog_file(tmp_path, capsys):
+    from augmis import enumerate_irreducible
+    from augmis.io import format_catalog
+    from augmis.irreducible import Catalog
+
+    # consistent with its own header (n_max 5, no filters, census 1:1 3:1)
+    # but missing the three 5-vertex entries
+    cat = tmp_path / "cat.txt"
+    cat.write_text(format_catalog(Catalog(5, (), enumerate_irreducible(3).entries)))
+    code, out, err = run(
+        capsys, "solve", "P9", "--catalog", str(cat), "--catalog-n-max", "5"
+    )
+    assert code == 1 and out == ""
+    assert "error:" in err and "census 1:1 3:1" in err
+    assert "Traceback" not in err
+
+
 def test_solve_with_malformed_catalog_file(tmp_path, capsys):
     cat = tmp_path / "bad.txt"
     cat.write_text(

@@ -6,9 +6,12 @@ is a path.  The catalogue oracle enumerates all small augmenting vertex
 pairs regardless of shape; the catalogue finder is also compared, entry
 by entry, with a plain per-entry backtracker kept here as a reference.
 The path finder is compared, candidate for candidate, with the unpruned
-path search kept here as a reference.
+path search kept here as a reference.  The final-round catalogue scan
+of ``solve_mis``, which leaves out the path entries, is compared with a
+solve that scans the whole catalogue.
 """
 
+import gc
 import random
 from itertools import combinations
 
@@ -31,6 +34,8 @@ from augmis import (
     is_augmenting,
     line_graph,
     path_graph,
+    plant_augmenting_tree,
+    PlantSpec,
     solve_mis,
     subdivided_star,
 )
@@ -420,6 +425,7 @@ def test_catalog_plans_compile_once(monkeypatch, solver_catalog9):
         return plan
 
     monkeypatch.setattr(finders, "_ENTRY_PLANS", {})
+    monkeypatch.setattr(finders, "_SCANS", {})
     monkeypatch.setattr(finders, "_Plan", counting_plan)
     class_pats = [Pattern("S", (1, 1, 3)), Pattern("K", (3, 3))]
     graphs = [gen_free_random(12, 0.3, class_pats, seed) for seed in range(4)]
@@ -440,3 +446,121 @@ def test_catalog_plans_compile_once(monkeypatch, solver_catalog9):
         assert first in h.black
         assert h.graph.degree(first) == max(h.graph.degree(b) for b in h.black)
         assert all(plan.edge_js[i] for i in range(1, len(plan.order)))
+
+
+def path_entries(catalog):
+    return Catalog(
+        catalog.max_vertices,
+        catalog.filters,
+        tuple(
+            e for e in catalog.entries
+            if all(m.bit_count() <= 2 for m in e.graph.graph.adj)
+        ),
+    )
+
+
+def small_star_instances():
+    """Planted star extensions, relabelled so that greedy takes the
+    middles, and K(1,5) + P(L) graphs, where the star finder misses."""
+    out = []
+    for extras in range(3):
+        for seed in range(3):
+            g, _ = plant_augmenting_tree(
+                PlantSpec(k=5, p=3, extras=extras, seed=seed)
+            )
+            order = list(range(1, 6)) + [0] + list(range(6, g.n))
+            perm = [0] * g.n
+            for new, old in enumerate(order):
+                perm[old] = new
+            out.append(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+    for length in range(4, 10):
+        n = 6 + length
+        edges = [(0, i) for i in range(1, 6)]
+        edges += [(i, i + 1) for i in range(6, n - 1)]
+        out.append(Graph(n, edges))
+    return out
+
+
+def test_final_round_scan_matches_full_catalogue(
+    monkeypatch, class_graphs7, solver_catalog9
+):
+    def solve_recording(g, full):
+        rounds = []
+
+        def recording(g, s, catalog, paths_ruled_out=False):
+            assert paths_ruled_out
+            got = find_from_catalog(
+                g, s, catalog, paths_ruled_out=not full
+            )
+            rounds.append((frozenset(s), got))
+            return got
+
+        with monkeypatch.context() as m:
+            m.setattr(solver, "find_from_catalog", recording)
+            res = solve_mis(g, SolveConfig(), solver_catalog9)
+        return res, rounds
+
+    graphs = seeded_line_graphs() + small_star_instances() + class_graphs7
+    catalog_hits = 0
+    for g in graphs:
+        pruned, pruned_rounds = solve_recording(g, full=False)
+        full, full_rounds = solve_recording(g, full=True)
+        assert pruned == full
+        assert pruned.finder_hits == full.finder_hits
+        assert pruned_rounds == full_rounds
+        catalog_hits += pruned.finder_hits["catalog"]
+    assert catalog_hits
+
+
+def test_path_entries_miss_where_the_path_finder_misses(
+    class_graphs7, solver_catalog9
+):
+    paths = path_entries(solver_catalog9)
+    assert sorted(e.graph.graph.n for e in paths.entries) == [1, 3, 5, 7]
+    graphs = seeded_line_graphs() + small_star_instances() + class_graphs7
+    misses = 0
+    for g in graphs:
+        greedy = greedy_initial(g)
+        sets = [greedy] + [greedy - {v} for v in sorted(greedy)[:3]]
+        sets.append(solve_mis(g, SolveConfig(), solver_catalog9).independent_set)
+        for s in sets:
+            if find_augmenting_path(g, s) is None:
+                misses += 1
+                assert find_from_catalog(g, s, paths) is None
+            else:
+                # below 8 vertices every augmenting path is an entry
+                assert g.n > 7 or find_from_catalog(g, s, paths) is not None
+    assert misses
+
+
+def test_final_round_scan_follows_catalogue_identity(solver_catalog9):
+    g = gen_free_random(12, 0.3, class_patterns(3), 7)
+    want = solve_mis(g, SolveConfig(), solver_catalog9)
+    twins = [
+        Catalog(9, solver_catalog9.filters, solver_catalog9.entries)
+        for _ in range(2)
+    ]
+    no_paths = Catalog(
+        9,
+        solver_catalog9.filters,
+        tuple(
+            e for e in solver_catalog9.entries
+            if e not in path_entries(solver_catalog9).entries
+        ),
+    )
+    for cat in twins + [no_paths]:
+        got = solve_mis(g, SolveConfig(), cat)
+        assert got == want and got.finder_hits == want.finder_hits
+        assert (id(cat), True) in finders._SCANS
+    # a scan dies with its catalogue, so an id the allocator hands out
+    # again never finds the scan of an earlier catalogue
+    key = (id(no_paths), True)
+    del twins, no_paths, cat
+    gc.collect()
+    assert key not in finders._SCANS
+    p3 = path_graph(3)
+    for _ in range(20):
+        only_p3 = Catalog(3, (), enumerate_irreducible(3).entries[1:])
+        assert find_from_catalog(p3, {1}, only_p3) is not None
+        empty = Catalog(3, (), ())
+        assert find_from_catalog(p3, {1}, empty) is None

@@ -27,7 +27,8 @@ from augmis import (
 )
 from augmis.enumeration import grow_graphs
 from augmis.io import read_catalog, write_catalog
-from augmis.solver import catalog_covers
+from augmis.irreducible import Catalog
+from augmis.solver import DEFAULT_CATALOG_CENSUS, _default_filters, catalog_covers
 from conftest import graphs_st, path_greedy_takes_odd_positions, petersen
 
 
@@ -185,6 +186,22 @@ def test_catalog_cache_that_does_not_cover_is_rebuilt(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == [path.name]
 
 
+def test_truncated_catalog_cache_is_rebuilt(tmp_path, monkeypatch, solver_catalog9):
+    import augmis.solver as solver_mod
+
+    # the n <= 3 entries under the n <= 9 default's name and header: the
+    # file parses and its census header agrees with its two entries
+    path = tmp_path / "catalog-n9-P8-T5-K3x3.txt"
+    truncated = enumerate_irreducible(3).entries
+    write_catalog(Catalog(9, solver_catalog9.filters, truncated), str(path))
+    assert len(read_catalog(str(path))) == 2
+    monkeypatch.setenv(solver_mod.CATALOG_DIR_ENV, str(tmp_path))
+    monkeypatch.setattr(solver_mod, "_CATALOG_MEMO", {})
+    cat = default_catalog(SolveConfig())
+    assert cat == solver_catalog9 and len(cat) == 235
+    assert read_catalog(str(path)) == cat
+
+
 def test_catalog_cache_that_does_not_parse_is_rebuilt(tmp_path, monkeypatch):
     import augmis.solver as solver_mod
 
@@ -220,6 +237,28 @@ def test_catalog_covers_bound_and_filters(solver_catalog9, unfiltered_catalog9):
     assert not catalog_covers(solver_catalog9, SolveConfig(p=2))
     assert catalog_covers(unfiltered_catalog9, SolveConfig(p=2))
     assert not catalog_covers(unfiltered_catalog9, SolveConfig(catalog_n_max=11))
+
+
+def test_catalog_covers_checks_the_census(solver_catalog9, unfiltered_catalog9):
+    # the frozen rows are the censuses of the default catalogues
+    assert DEFAULT_CATALOG_CENSUS[3] == (9, solver_catalog9.census())
+    p2 = enumerate_irreducible(9, _default_filters(2))
+    assert DEFAULT_CATALOG_CENSUS[2] == (9, p2.census())
+    # one entry short, in the file's own terms consistent
+    for drop in (0, 4, len(solver_catalog9) - 1):
+        entries = list(solver_catalog9.entries)
+        del entries[drop]
+        short = Catalog(9, solver_catalog9.filters, tuple(entries))
+        assert not catalog_covers(short, SolveConfig())
+        assert catalog_covers(short, SolveConfig(catalog_n_max=7)) == (
+            solver_catalog9.entries[drop].graph.graph.n > 7
+        )
+    # no frozen row for p = 4: compared with the default catalogue built
+    # in memory, where the p = 3 entries fall short
+    p4 = SolveConfig(p=4, catalog_n_max=7)
+    assert 4 not in DEFAULT_CATALOG_CENSUS
+    assert catalog_covers(unfiltered_catalog9, p4)
+    assert not catalog_covers(Catalog(9, (), solver_catalog9.entries), p4)
 
 
 def test_solve_iteration_and_hit_bookkeeping(solver_catalog9):
