@@ -46,7 +46,6 @@ from .irreducible import (
 )
 from .finders import (
     AugCandidate,
-    ClassViolationWarning,
     find_augmenting_path,
     find_from_catalog,
     find_tree_extension,

@@ -1,6 +1,6 @@
 """Command-line surface: solve, atlas, verify, gen, oracle.
 
-Exit codes: 0 success, 1 input/usage error, 2 class-violation warning
+Exit codes: 0 success, 1 input/usage error, 2 class violation
 (solve with --validate-class on an out-of-class graph).  Every run emits
 a one-line JSON manifest on stderr; randomized commands refuse to run
 without an explicit --seed.
@@ -14,7 +14,6 @@ import os
 import re
 import sys
 import time
-import warnings
 from typing import Optional, Sequence
 
 from . import __version__
@@ -115,11 +114,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         violations.append(
             {"pattern": str(pat), "embedding": {str(k): v for k, v in emb.items()}}
         )
-    # the tree finder warns on out-of-class inputs; the CLI reports class
-    # violations only under --validate-class
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        result = solve_mis(g, cfg, catalog)
+    result = solve_mis(g, cfg, catalog)
     payload = {
         "alpha": result.alpha,
         "set": sorted(result.independent_set),

@@ -11,7 +11,6 @@ stars, and members of a finite catalogue.
 
 from __future__ import annotations
 
-import warnings
 import weakref
 from collections import Counter
 from dataclasses import dataclass
@@ -25,16 +24,11 @@ from .patterns import _anchored_order, _Plan, _search
 __all__ = [
     "AugCandidate",
     "TreeExtension",
-    "ClassViolationWarning",
     "is_augmenting",
     "find_augmenting_path",
     "find_tree_extension",
     "find_from_catalog",
 ]
-
-
-class ClassViolationWarning(UserWarning):
-    """The input graph broke a structural guarantee of the target class."""
 
 
 @dataclass(frozen=True)
@@ -190,8 +184,8 @@ def find_tree_extension(
     the result is deterministic.
 
     On inputs from the target class the chosen leaves are automatically
-    independent; if they are not, the graph is outside the class, a
-    ClassViolationWarning is emitted, and the scan continues.
+    independent; if they are not, the graph is outside the class and the
+    scan continues.
     """
     if p < 2:
         raise ValueError("class parameter p must be at least 2")
@@ -233,12 +227,11 @@ def find_tree_extension(
                         continue
                     if ns_q2 & ~(a0 | q1mask):
                         continue
-                    cand = _pick_leaves(
+                    leaves = _pick_leaves(
                         adj, r_list, ns_of, smask, q1mask, q2mask, u, a0
                     )
-                    if cand is None:
+                    if leaves is None:
                         continue
-                    leaves = cand
                     whites = set_of(a0 | q1mask)
                     blacks = (
                         frozenset([u]) | frozenset(leaves) | set_of(q2mask)
@@ -257,12 +250,6 @@ def find_tree_extension(
                     )
                     if is_augmenting(g, s, result):
                         return result
-                    warnings.warn(
-                        "star leaves were not independent; the input graph "
-                        "contains a forbidden spider",
-                        ClassViolationWarning,
-                        stacklevel=2,
-                    )
     return None
 
 

@@ -110,9 +110,6 @@ class Graph:
             self._nbrs = tuple(tuple(bits(m)) for m in self.adj)
         return self._nbrs[v]
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in ascending lexicographic order."""
         for u in range(self.n):

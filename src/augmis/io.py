@@ -29,6 +29,7 @@ from .patterns import Pattern, is_free, parse_pattern
 
 __all__ = [
     "GraphFormatError",
+    "MAX_DIMACS_VERTICES",
     "parse_dimacs",
     "format_dimacs",
     "read_graph",
@@ -47,6 +48,12 @@ class GraphFormatError(ValueError):
         suffix = f" (line {line})" if line is not None else ""
         super().__init__(message + suffix)
         self.line = line
+
+
+# Largest vertex count a graph file may declare.  The header is checked
+# before any per-vertex storage is allocated, so a one-line file cannot
+# exhaust memory.
+MAX_DIMACS_VERTICES = 1 << 16
 
 
 def parse_dimacs(text: str) -> Graph:
@@ -69,6 +76,11 @@ def parse_dimacs(text: str) -> Graph:
                 raise GraphFormatError("non-numeric problem line", lineno)
             if n < 0 or m < 0:
                 raise GraphFormatError("negative counts", lineno)
+            if n > MAX_DIMACS_VERTICES:
+                raise GraphFormatError(
+                    f"{n} vertices exceed the cap of {MAX_DIMACS_VERTICES}",
+                    lineno,
+                )
         elif fields[0] == "e":
             if n is None:
                 raise GraphFormatError("edge before problem line", lineno)

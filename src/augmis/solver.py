@@ -12,7 +12,6 @@ small sizes.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
@@ -39,10 +38,7 @@ __all__ = [
     "catalog_covers",
     "DEFAULT_CATALOG_CENSUS",
     "class_patterns",
-    "CATALOG_DIR_ENV",
 ]
-
-CATALOG_DIR_ENV = "AUGMIS_CATALOG_DIR"
 
 
 @dataclass(frozen=True)
@@ -109,13 +105,6 @@ DEFAULT_CATALOG_CENSUS: dict[int, tuple[int, dict[int, int]]] = {
 }
 
 
-def _frozen_census(cfg: SolveConfig) -> Optional[dict[int, int]]:
-    row = DEFAULT_CATALOG_CENSUS.get(cfg.p)
-    if row is None or cfg.catalog_n_max > row[0]:
-        return None
-    return {n: c for n, c in row[1].items() if n <= cfg.catalog_n_max}
-
-
 def catalog_covers(cat: Catalog, cfg: SolveConfig) -> bool:
     """True iff ``cat`` holds every entry ``default_catalog(cfg)`` holds.
 
@@ -136,8 +125,10 @@ def catalog_covers(cat: Catalog, cfg: SolveConfig) -> bool:
         h = e.graph.graph
         if h.n <= cfg.catalog_n_max and is_free(h, unchecked):
             census[h.n] = census.get(h.n, 0) + 1
-    want = _frozen_census(cfg)
-    if want is None:
+    row = DEFAULT_CATALOG_CENSUS.get(cfg.p)
+    if row is not None and cfg.catalog_n_max <= row[0]:
+        want = {n: c for n, c in row[1].items() if n <= cfg.catalog_n_max}
+    else:
         want = default_catalog(cfg).census()
     return census == want
 
@@ -147,44 +138,15 @@ def default_catalog(cfg: SolveConfig) -> Catalog:
 
     Its filters exclude the two shapes the other finders already cover
     (long paths via P(8), large star extensions via T(p+2)) plus the class
-    biclique K(p,p).  Results are memoised per process and, when the
-    directory named by AUGMIS_CATALOG_DIR exists or can be created,
-    cached on disk where ``DEFAULT_CATALOG_CENSUS`` has a row for ``cfg``
-    (elsewhere a cache file could only be checked by building the
-    catalogue it stands for).  The cache file is replaced atomically;
-    when read back it is validated, and rebuilt and rewritten unless it
-    parses and covers ``cfg``.  A directory that cannot be made or
-    written leaves the catalogue uncached.
+    biclique K(p,p).  Results are memoised per process; to reuse a
+    catalogue across runs, write it with ``atlas --out`` and pass it to
+    ``solve --catalog``.
     """
     filters = _default_filters(cfg.p)
     key = (cfg.catalog_n_max, filters)
     cat = _CATALOG_MEMO.get(key)
-    if cat is not None:
-        return cat
-    cache_dir = os.environ.get(CATALOG_DIR_ENV)
-    path = None
-    if cache_dir and _frozen_census(cfg) is not None:
-        from .io import read_catalog, write_catalog
-
-        slug = "-".join(str(f) for f in filters)
-        path = os.path.join(
-            cache_dir, f"catalog-n{cfg.catalog_n_max}-{slug}.txt"
-        )
-        try:
-            cat = read_catalog(path)
-        except (OSError, ValueError):
-            pass  # missing, unreadable or malformed: rebuilt below
-        if cat is not None and not catalog_covers(cat, cfg):
-            cat = None
     if cat is None:
-        cat = enumerate_irreducible(cfg.catalog_n_max, filters)
-        if path is not None:
-            try:
-                os.makedirs(cache_dir, exist_ok=True)
-                write_catalog(cat, path)
-            except OSError:
-                pass  # no usable cache directory: serve the catalogue uncached
-    _CATALOG_MEMO[key] = cat
+        cat = _CATALOG_MEMO[key] = enumerate_irreducible(cfg.catalog_n_max, filters)
     return cat
 
 

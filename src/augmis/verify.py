@@ -228,26 +228,6 @@ class SweepReport:
         }
 
 
-def _is_path_graph(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    degs = sorted(g.degree(v) for v in range(g.n))
-    return (
-        g.num_edges == g.n - 1
-        and degs[:2] == [1, 1]
-        and all(d == 2 for d in degs[2:])
-        and len(connected_components(g)) == 1
-    )
-
-
-def _is_cycle_graph(g: Graph) -> bool:
-    return (
-        g.n >= 3
-        and all(g.degree(v) == 2 for v in range(g.n))
-        and len(connected_components(g)) == 1
-    )
-
-
 def spider_free_bipartite_corpus(n_max: int) -> Iterable[Graph]:
     """The enumeration both sweeps below run over; exposed so callers
     can build it once and share it."""
@@ -274,7 +254,9 @@ def verify_path_or_cycle(
             continue
         checked += 1
         counts[g.n] = counts.get(g.n, 0) + 1
-        if not (_is_path_graph(g) or _is_cycle_graph(g)):
+        # connected with maximum degree <= 2: a chordless path or cycle
+        connected = len(connected_components(g)) == 1
+        if not connected or any(g.degree(v) > 2 for v in range(g.n)):
             violations.append({"n": g.n, "edges": sorted(g.edges())})
     return SweepReport(
         "path-or-cycle", {"n_max": n_max}, counts, checked, tuple(violations)

@@ -169,6 +169,15 @@ def test_solve_rejects_truncated_catalog_file(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_graph_file_over_the_vertex_cap(tmp_path, capsys):
+    huge = tmp_path / "huge.col"
+    huge.write_text("p edge 100000000000 0\n")
+    for argv in (("solve", str(huge)), ("oracle", "--mis", str(huge))):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "error:" in err and "line 1" in err and "Traceback" not in err
+
+
 def test_solve_with_malformed_catalog_file(tmp_path, capsys):
     cat = tmp_path / "bad.txt"
     cat.write_text(
@@ -292,20 +301,3 @@ def test_oracle_values(capsys):
     assert code == 0 and out.strip() == "2"
     code, out, _ = run(capsys, "oracle", "--matching", "K4")
     assert code == 0 and out.strip() == "2"
-
-
-def test_catalog_env_cache(tmp_path, capsys, monkeypatch):
-    import augmis.solver as solver_mod
-
-    monkeypatch.setenv("AUGMIS_CATALOG_DIR", str(tmp_path))
-    monkeypatch.setattr(solver_mod, "_CATALOG_MEMO", {})
-    code, out, _ = run(capsys, "solve", "P5", "--catalog-n-max", "5", "--json")
-    assert code == 0
-    files = os.listdir(tmp_path)
-    assert len(files) == 1 and files[0].startswith("catalog-n5-")
-    before = (tmp_path / files[0]).read_bytes()
-    # second run loads the cached file rather than regenerating
-    monkeypatch.setattr(solver_mod, "_CATALOG_MEMO", {})
-    code, _, _ = run(capsys, "solve", "P5", "--catalog-n-max", "5", "--json")
-    assert code == 0
-    assert (tmp_path / files[0]).read_bytes() == before

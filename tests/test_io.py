@@ -8,6 +8,7 @@ from augmis.graphs import bits
 import augmis.io as io_mod
 from augmis.canonical import _pack, decode_code
 from augmis.io import (
+    MAX_DIMACS_VERTICES,
     GraphFormatError,
     format_catalog,
     format_dimacs,
@@ -53,6 +54,15 @@ def test_dimacs_errors_carry_line_numbers(text, line):
     with pytest.raises(GraphFormatError) as err:
         parse_dimacs(text)
     assert err.value.line == line
+
+
+def test_dimacs_vertex_cap():
+    assert parse_dimacs(f"p edge {MAX_DIMACS_VERTICES} 0\n").n == MAX_DIMACS_VERTICES
+    # rejected at the header, before any per-vertex storage is allocated
+    for n in (MAX_DIMACS_VERTICES + 1, 100_000_000_000):
+        with pytest.raises(GraphFormatError) as err:
+            parse_dimacs(f"c big\np edge {n} 0\n")
+        assert err.value.line == 2 and "cap" in str(err.value)
 
 
 def test_dimacs_edge_count_mismatch():

@@ -26,7 +26,7 @@ from augmis import (
     solve_mis,
 )
 from augmis.enumeration import grow_graphs
-from augmis.io import read_catalog, write_catalog
+from augmis.io import write_catalog
 from augmis.irreducible import Catalog
 from augmis.solver import DEFAULT_CATALOG_CENSUS, _default_filters, catalog_covers
 from conftest import graphs_st, path_greedy_takes_odd_positions, petersen
@@ -168,67 +168,28 @@ def test_solve_matches_brute_force_on_class_graphs_n7(solver_catalog9):
     assert checked == 938
 
 
-def test_catalog_cache_that_does_not_cover_is_rebuilt(tmp_path, monkeypatch):
+def test_default_catalog_reads_and_writes_no_files(
+    tmp_path, monkeypatch, solver_catalog9
+):
     import augmis.solver as solver_mod
 
-    # an unfiltered n <= 3 catalogue under the name of the n <= 5 default
-    path = tmp_path / "catalog-n5-P8-T5-K3x3.txt"
-    write_catalog(enumerate_irreducible(3), str(path))
-    monkeypatch.setenv(solver_mod.CATALOG_DIR_ENV, str(tmp_path))
-    monkeypatch.setattr(solver_mod, "_CATALOG_MEMO", {})
-    cfg = SolveConfig(catalog_n_max=5)
-    cat = default_catalog(cfg)
-    assert catalog_covers(cat, cfg)
-    assert cat.max_vertices == 5 and cat.filters == (
-        Pattern("P", (8,)), Pattern("T", (5,)), Pattern("K", (3, 3))
-    )
-    assert read_catalog(str(path)) == cat
-    assert os.listdir(tmp_path) == [path.name]
-
-
-def test_truncated_catalog_cache_is_rebuilt(tmp_path, monkeypatch, solver_catalog9):
-    import augmis.solver as solver_mod
-
-    # the n <= 3 entries under the n <= 9 default's name and header: the
-    # file parses and its census header agrees with its two entries
+    # a truncated catalogue under the name and in the directory the
+    # removed AUGMIS_CATALOG_DIR cache used: neither read nor rewritten
     path = tmp_path / "catalog-n9-P8-T5-K3x3.txt"
     truncated = enumerate_irreducible(3).entries
     write_catalog(Catalog(9, solver_catalog9.filters, truncated), str(path))
-    assert len(read_catalog(str(path))) == 2
-    monkeypatch.setenv(solver_mod.CATALOG_DIR_ENV, str(tmp_path))
+    before = path.read_bytes()
+    monkeypatch.setenv("AUGMIS_CATALOG_DIR", str(tmp_path))
     monkeypatch.setattr(solver_mod, "_CATALOG_MEMO", {})
     cat = default_catalog(SolveConfig())
     assert cat == solver_catalog9 and len(cat) == 235
-    assert read_catalog(str(path)) == cat
-
-
-def test_catalog_cache_that_does_not_parse_is_rebuilt(tmp_path, monkeypatch):
-    import augmis.solver as solver_mod
-
-    path = tmp_path / "catalog-n5-P8-T5-K3x3.txt"
-    path.write_text("garbage\n")
-    monkeypatch.setenv(solver_mod.CATALOG_DIR_ENV, str(tmp_path))
-    monkeypatch.setattr(solver_mod, "_CATALOG_MEMO", {})
-    cfg = SolveConfig(catalog_n_max=5)
-    assert solve_mis(path_graph(5), cfg).alpha == 3
-    cat = read_catalog(str(path))
-    assert catalog_covers(cat, cfg) and cat.max_vertices == 5
-    assert os.listdir(tmp_path) == [path.name]
-
-
-def test_catalog_cache_under_a_regular_file_is_skipped(tmp_path, monkeypatch):
-    import augmis.solver as solver_mod
-
-    blocker = tmp_path / "plain-file"
-    blocker.write_text("not a directory\n")
-    monkeypatch.setenv(solver_mod.CATALOG_DIR_ENV, str(blocker / "cache"))
-    monkeypatch.setattr(solver_mod, "_CATALOG_MEMO", {})
     cfg = SolveConfig(catalog_n_max=5)
     cat = default_catalog(cfg)
-    assert catalog_covers(cat, cfg) and cat.max_vertices == 5
+    assert catalog_covers(cat, cfg)
+    assert cat.max_vertices == 5 and cat.filters == solver_catalog9.filters
     assert solve_mis(path_graph(5), cfg).alpha == 3
-    assert os.listdir(tmp_path) == [blocker.name]
-    assert blocker.read_text() == "not a directory\n"
+    assert os.listdir(tmp_path) == [path.name]
+    assert path.read_bytes() == before
 
 
 def test_catalog_covers_bound_and_filters(solver_catalog9, unfiltered_catalog9):
