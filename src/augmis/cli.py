@@ -179,8 +179,12 @@ _LEMMAS = {
     "path-or-cycle": lambda a: verify_path_or_cycle(a.n_max).to_json(),
     "anatomy": lambda a: verify_star_anatomy(a.n_max).to_json(),
     "extension": lambda a: verify_extension_bound(a.p, a.n_max).to_json(),
-    "min-classes": lambda a: verify_min_classes(a.n_max, a.t).to_json(),
-    "ramsey": lambda a: _ramsey_report(a.t, a.p),
+    "min-classes": lambda a: verify_min_classes(
+        a.n_max, 4 if a.t is None else a.t
+    ).to_json(),
+    # at t = 4 the search would have to reach matching size 6, past its
+    # budget; t = 2 is the size the reproduction script checks
+    "ramsey": lambda a: _ramsey_report(2 if a.t is None else a.t, a.p),
 }
 
 
@@ -291,7 +295,9 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--lemma", required=True, choices=list(_LEMMAS))
     p_verify.add_argument("--n-max", type=int, default=10)
     p_verify.add_argument("--p", type=int, default=2)
-    p_verify.add_argument("--t", type=int, default=4)
+    p_verify.add_argument(
+        "--t", type=int, help="default 4 for min-classes, 2 for ramsey"
+    )
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
 

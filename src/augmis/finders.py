@@ -284,20 +284,28 @@ def _pick_leaves(
 
 
 def find_from_catalog(
-    g: Graph, s: Iterable[int], catalog: Catalog, *, paths_ruled_out: bool = False
+    g: Graph, s: Iterable[int], catalog: Catalog
 ) -> Optional[AugCandidate]:
-    """First catalogue entry embeddable as an augmenting subgraph.
+    """First catalogue entry that is not a path and embeds as an
+    augmenting subgraph.
+
+    Path shapes belong to ``find_augmenting_path``: the scan leaves out
+    the entries of maximum degree at most 2 (entries are connected with
+    one more black than white, so none is a cycle).  An embedded path
+    entry is an augmenting chordless alternating path, which that
+    exhaustive search finds, so where it returns None no left-out entry
+    could embed either.
 
     Entries are tried smallest first.  An embedding maps entry whites
     into S and entry blacks outside S, preserves adjacency exactly, and
     gives every black image an S-neighbourhood equal to the image of its
     entry neighbours; a black of entry degree d is therefore placed only
     on vertices outside S with exactly d S-neighbours.  Each entry is
-    compiled once per process into a search plan for the shared
-    ``patterns._search`` engine: the plan starts at a black of maximum
-    degree and every later vertex attaches to an already-placed one, so
-    no position branches over all of S or all of V - S.  The compiled
-    scan of a catalogue object is kept for its lifetime.
+    compiled into a search plan for the shared ``patterns._search``
+    engine: the plan starts at a black of maximum degree and every later
+    vertex attaches to an already-placed one, so no position branches
+    over all of S or all of V - S.  The compiled scan of a catalogue
+    object is kept for its lifetime.
 
     Claw-centre bound: entry blacks are independent, so a white of entry
     degree 3 or more is placed on a vertex of S whose neighbours outside
@@ -307,14 +315,6 @@ def find_from_catalog(
     unchanged, so the result is the one the search over all of S finds;
     on claw-free graphs every entry with such a white is skipped by the
     per-domain count check.
-
-    ``paths_ruled_out`` states that ``find_augmenting_path(g, s)`` has
-    returned None.  The scan then leaves out the entries that are paths
-    (maximum degree at most 2; entries are connected with one more black
-    than white, so none is a cycle).  An embedded path entry is an
-    augmenting chordless alternating path, which that exhaustive search
-    would have found, so no such entry can embed and the result is the
-    one the full scan returns.
     """
     s = frozenset(s)
     smask = mask_of(s)
@@ -330,7 +330,7 @@ def find_from_catalog(
     g_deg = [m.bit_count() for m in adj]
     images = [0] * n
 
-    for entry, hn, plan, need in _scan_of(catalog, paths_ruled_out):
+    for entry, hn, plan, need in _scan_of(catalog):
         if hn > n:
             continue
         # blacks of an entry that fits have degree < n, so k <= n + 1
@@ -354,31 +354,26 @@ def find_from_catalog(
     return None
 
 
-# Vertex count, compiled plan and per-domain position counts, keyed by
-# entry code (a catalogue entry's graph is the decoding of its code).
-_EntryPlan = tuple[int, _Plan, tuple[tuple[int, int], ...]]
-_ENTRY_PLANS: dict[bytes, _EntryPlan] = {}
-
-# The scan of a catalogue: (entry, *compiled plan) in catalogue order.
+# The scan of a catalogue: each entry that is not a path, in catalogue
+# order, with its vertex count, compiled plan and per-domain position
+# counts.
 _ScanItem = tuple[CatalogEntry, int, _Plan, tuple[tuple[int, int], ...]]
-# Scans keyed by (id(catalog), paths_ruled_out).  Each keeps a weak
-# reference to its catalogue: the identity check guards against a reused
-# id, and the reference's callback drops the scan with the catalogue.
-_SCANS: dict[tuple[int, bool], tuple[weakref.ref, list[_ScanItem]]] = {}
+# Scans keyed by id(catalog).  Each keeps a weak reference to its
+# catalogue: the identity check guards against a reused id, and the
+# reference's callback drops the scan with the catalogue.
+_SCANS: dict[int, tuple[weakref.ref, list[_ScanItem]]] = {}
 
 
-def _scan_of(catalog: Catalog, paths_ruled_out: bool) -> list[_ScanItem]:
-    key = (id(catalog), paths_ruled_out)
+def _scan_of(catalog: Catalog) -> list[_ScanItem]:
+    key = id(catalog)
     memo = _SCANS.get(key)
     if memo is not None and memo[0]() is catalog:
         return memo[1]
-    scan = []
-    for entry in catalog.entries:
-        hg = entry.graph.graph
-        if paths_ruled_out and all(m.bit_count() <= 2 for m in hg.adj):
-            continue
-        compiled = _ENTRY_PLANS.get(entry.code) or _compile_entry(entry)
-        scan.append((entry, *compiled))
+    scan = [
+        _compile_entry(entry)
+        for entry in catalog.entries
+        if any(m.bit_count() > 2 for m in entry.graph.graph.adj)
+    ]
     ref = weakref.ref(catalog, lambda _: _SCANS.pop(key, None))
     _SCANS[key] = (ref, scan)
     return scan
@@ -407,7 +402,7 @@ def _has_independent_triple(adj: tuple[int, ...], xs: int) -> bool:
     return False
 
 
-def _compile_entry(entry: CatalogEntry) -> _EntryPlan:
+def _compile_entry(entry: CatalogEntry) -> _ScanItem:
     h = entry.graph
     hg = h.graph
     dom_of = [
@@ -418,6 +413,4 @@ def _compile_entry(entry: CatalogEntry) -> _EntryPlan:
     plan = _Plan(hg, _anchored_order(hg, first), dom_of)
     counts = Counter(dom_of)
     counts[0] += counts[1]  # claw centres lie in S too
-    need = tuple(sorted(counts.items()))
-    compiled = _ENTRY_PLANS[entry.code] = (hg.n, plan, need)
-    return compiled
+    return entry, hg.n, plan, tuple(sorted(counts.items()))

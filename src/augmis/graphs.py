@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "Graph",
+    "MAX_VERTICES",
     "bits",
     "mask_of",
     "set_of",
@@ -26,6 +27,11 @@ __all__ = [
     "connected_components",
     "bipartition",
 ]
+
+# Largest vertex count a graph file, a named graph or a planted instance
+# may ask for; a named graph may have as many edges.  Sizes are checked
+# before any storage is allocated, so a short input cannot exhaust memory.
+MAX_VERTICES = 1 << 16
 
 
 def bits(mask: int) -> Iterator[int]:

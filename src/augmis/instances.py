@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph, bits, is_independent
+from .graphs import MAX_VERTICES, Graph, bits, is_independent
 from .patterns import PatternLike, _as_graph, class_patterns, find_forbidden, is_free
 
 __all__ = [
@@ -146,6 +146,11 @@ class PlantSpec:
             raise ValueError("extras must lie between 0 and 2p")
         if self.noise < 0:
             raise ValueError("noise must be non-negative")
+        n = 2 * self.k + 1 + 2 * self.extras
+        if n > MAX_VERTICES:
+            raise ValueError(
+                f"planted instance has {n} vertices; the cap is {MAX_VERTICES}"
+            )
 
 
 def plant_augmenting_tree(spec: PlantSpec) -> tuple[Graph, frozenset[int]]:

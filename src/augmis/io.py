@@ -18,7 +18,7 @@ import os
 from typing import Optional
 
 from .canonical import canon_code
-from .graphs import Graph
+from .graphs import MAX_VERTICES, Graph
 from .irreducible import (
     Catalog,
     CatalogEntry,
@@ -50,10 +50,8 @@ class GraphFormatError(ValueError):
         self.line = line
 
 
-# Largest vertex count a graph file may declare.  The header is checked
-# before any per-vertex storage is allocated, so a one-line file cannot
-# exhaust memory.
-MAX_DIMACS_VERTICES = 1 << 16
+# Largest vertex count a graph file may declare, checked at the header.
+MAX_DIMACS_VERTICES = MAX_VERTICES
 
 
 def parse_dimacs(text: str) -> Graph:

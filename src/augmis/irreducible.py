@@ -12,6 +12,7 @@ vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, count
 from typing import Iterable, Optional, Sequence
 
 from .canonical import canon_code, decode_code
@@ -214,6 +215,10 @@ def enumerate_irreducible(
 
 # -- matching-forcing bound ------------------------------------------------
 
+# Most graphs bipartite_ramsey_search checks at one matching size m: the
+# family holds 2^(m^2 - m) graphs, so m = 5 is the last size in budget.
+RAMSEY_GRAPH_BUDGET = 1 << 21
+
 
 @dataclass(frozen=True)
 class RamseyResult:
@@ -250,8 +255,6 @@ def _iter_perfect_matching_graphs(m: int) -> Iterable[tuple[int, ...]]:
 
 
 def _has_biclique(masks: Sequence[int], m: int, t: int) -> bool:
-    from itertools import combinations
-
     if t > m:
         return False
     for ws in combinations(range(m), t):
@@ -296,22 +299,21 @@ def _has_induced_matching(masks: Sequence[int], m: int, p: int) -> bool:
     return rec(0, [])
 
 
-def bipartite_ramsey_search(
-    t: int, p: int, *, max_matching: int = 6, max_graphs: int = 1 << 21
-) -> RamseyResult:
+def bipartite_ramsey_search(t: int, p: int) -> RamseyResult:
     """Smallest N so that every bipartite graph with a matching of size N
     has a complete bipartite K(t,t) or an induced matching on p edges.
 
     Exhaustive over perfect-matching graphs per matched size (see
     _iter_perfect_matching_graphs for why that restriction is sound);
-    raises SearchBudgetError when the budget runs out first.
+    raises SearchBudgetError at the first size whose family exceeds
+    RAMSEY_GRAPH_BUDGET graphs.
     """
     if t < 1 or p < 1:
         raise ValueError("parameters must be positive")
     checked = 0
     last_avoider: Optional[ColoredBipartite] = None
-    for m in range(1, max_matching + 1):
-        if (1 << (m * m - m)) > max_graphs:
+    for m in count(1):
+        if (1 << (m * m - m)) > RAMSEY_GRAPH_BUDGET:
             raise SearchBudgetError(
                 f"search space at matching size {m} exceeds budget"
             )
@@ -331,7 +333,3 @@ def bipartite_ramsey_search(
             frozenset(range(m)),
             frozenset(range(m, 2 * m)),
         )
-    raise SearchBudgetError(
-        f"no forcing size found with matchings up to {max_matching}"
-    )
-

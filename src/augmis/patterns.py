@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .graphs import Graph, bits
+from .graphs import MAX_VERTICES, Graph, bits
 
 __all__ = [
     "Pattern",
@@ -97,6 +97,18 @@ _BUILDERS = {
     "S": lambda p: spider(*p),
     "T": lambda p: subdivided_star(*p),
 }
+# Vertex and edge counts from the parameters, known before a build.
+_SIZES = {
+    "P": lambda p: (p[0], p[0] - 1),
+    "C": lambda p: (p[0], p[0]),
+    "K": lambda p: (
+        (p[0], p[0] * (p[0] - 1) // 2)
+        if len(p) == 1
+        else (p[0] + p[1], p[0] * p[1])
+    ),
+    "S": lambda p: (sum(p) + 1, sum(p)),
+    "T": lambda p: (2 * p[0] + 1, 2 * p[0]),
+}
 
 
 @dataclass(frozen=True)
@@ -119,6 +131,12 @@ class Pattern:
             raise ValueError(f"pattern {self.kind} takes {counts} parameter(s)")
         if any(p < 1 for p in self.params):
             raise ValueError("pattern parameters must be positive")
+        n, m = _SIZES[self.kind](self.params)
+        if max(n, m) > MAX_VERTICES:
+            raise ValueError(
+                f"pattern {self} has {n} vertices and {m} edges; "
+                f"the cap is {MAX_VERTICES} of each"
+            )
         _BUILDERS[self.kind](self.params)  # reject e.g. C2 early
 
     def build(self) -> Graph:

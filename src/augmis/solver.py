@@ -158,11 +158,10 @@ def solve_mis(
     """Maximum independent set by iterated augmentation.
 
     Each round runs the path, star-extension and catalogue finders in
-    that order.  The catalogue runs only after the path finder has missed
-    on the same set, and that search is exhaustive, so the catalogue scan
-    leaves out the entries that are paths: any of them that embedded
-    would be an augmenting path the path finder had found.  The result is
-    the one the full catalogue gives.
+    that order.  Each finder owns one shape: ``find_from_catalog`` leaves
+    the path entries to ``find_augmenting_path``, an exhaustive search
+    that has missed on the same set before the catalogue runs, so the
+    result is the one a scan of the whole catalogue gives.
 
     Inputs outside the class are solved best effort: the output is still
     a valid independent set.  ``find_forbidden(g, class_patterns(p))``
@@ -183,7 +182,7 @@ def solve_mis(
             cand = find_tree_extension(g, s, cfg.p)
         if cand is None:
             name = "catalog"
-            cand = find_from_catalog(g, s, catalog, paths_ruled_out=True)
+            cand = find_from_catalog(g, s, catalog)
         if cand is None:
             break
         hits[name] += 1

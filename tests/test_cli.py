@@ -178,6 +178,24 @@ def test_graph_file_over_the_vertex_cap(tmp_path, capsys):
         assert "error:" in err and "line 1" in err and "Traceback" not in err
 
 
+def test_named_graph_over_the_size_cap(capsys):
+    for argv in (
+        ("solve", "P100000000000"),
+        ("solve", "K100000"),
+        ("solve", "K363"),
+        ("solve", "P5", "--p", "100000"),  # the filters hold K(p,p)
+        ("verify", "--lemma", "min-classes", "--t", "100000000"),
+        ("gen", "--plant", "k=1000000000,p=3", "--seed", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert "error:" in err and "the cap is 65536" in err, argv
+        assert "Traceback" not in err
+    # the largest complete graph within the edge cap is accepted
+    code, out, _ = run(capsys, "solve", "K362", "--json")
+    assert code == 0 and json.loads(out)["alpha"] == 1
+
+
 def test_solve_with_malformed_catalog_file(tmp_path, capsys):
     cat = tmp_path / "bad.txt"
     cat.write_text(
@@ -233,6 +251,20 @@ def test_verify_lemmas_quick(capsys):
         "lemma min-classes\ncount n=1 1\ncount n=3 1\ncount n=5 1\n"
         "count n=7 0\nchecked 25\nviolations 0\n"
     )
+
+
+def test_verify_t_defaults_per_lemma(capsys):
+    # --t defaults to 2 for ramsey and to 4 for min-classes
+    golden = dict(_VERIFY_GOLDEN)
+    for argv, pinned in (
+        (("--lemma", "ramsey"), ("--lemma", "ramsey", "--t", "2", "--p", "2")),
+        (
+            ("--lemma", "min-classes", "--n-max", "7"),
+            ("--lemma", "min-classes", "--n-max", "7", "--t", "4"),
+        ),
+    ):
+        code, out, _ = run(capsys, "verify", *argv, "--json")
+        assert code == 0 and out == golden[pinned], argv
 
 
 def test_gen_line_graph(tmp_path, capsys):

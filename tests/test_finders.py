@@ -6,9 +6,9 @@ is a path.  The catalogue oracle enumerates all small augmenting vertex
 pairs regardless of shape; the catalogue finder is also compared, entry
 by entry, with a plain per-entry backtracker kept here as a reference.
 The path finder is compared, candidate for candidate, with the unpruned
-path search kept here as a reference.  The final-round catalogue scan
-of ``solve_mis``, which leaves out the path entries, is compared with a
-solve that scans the whole catalogue.
+path search kept here as a reference.  The catalogue finder leaves the
+path entries to the path finder; the reference backtracker checks that
+none of them embeds on any set the catalogue scans in ``solve_mis``.
 """
 
 import gc
@@ -24,6 +24,7 @@ from augmis import (
     AugCandidate,
     Graph,
     Pattern,
+    complete_bipartite,
     complete_graph,
     enumerate_irreducible,
     find_augmenting_path,
@@ -101,8 +102,6 @@ def test_is_augmenting_examples():
     assert not is_augmenting(e, {0}, AugCandidate(frozenset({0}), frozenset({1}), "x"))
     p3 = path_graph(3)
     assert is_augmenting(p3, {1}, AugCandidate(frozenset({1}), frozenset({0, 2}), "x"))
-    from augmis import complete_bipartite
-
     k13 = complete_bipartite(1, 3)
     assert not is_augmenting(
         k13, {1, 2, 3}, AugCandidate(frozenset({1, 2}), frozenset({0}), "x")
@@ -284,15 +283,20 @@ def test_tree_extension_warns_on_class_violation():
 
 
 def test_catalog_finder_examples(solver_catalog9):
+    # P3 and the lone vertex are paths: the path finder finds them (see
+    # test_path_finder_examples) and the catalogue leaves them out
     p3 = path_graph(3)
-    cat3 = enumerate_irreducible(3)
-    c = find_from_catalog(p3, {1}, cat3)
-    assert (c.whites, c.blacks) == (frozenset({1}), frozenset({0, 2}))
-    assert find_from_catalog(complete_graph(3), {0}, cat3) is None
-    # lone-vertex augmentation via the one-vertex entry
+    assert find_augmenting_path(p3, {1}) is not None
+    assert find_from_catalog(p3, {1}, solver_catalog9) is None
     g = Graph(3, [(0, 1)])
-    c = find_from_catalog(g, {0}, cat3)
-    assert (c.whites, c.blacks) == (frozenset(), frozenset({2}))
+    assert find_augmenting_path(g, {0}) is not None
+    assert find_from_catalog(g, {0}, solver_catalog9) is None
+    assert find_from_catalog(complete_graph(3), {0}, solver_catalog9) is None
+    # K(2,3) with S its 2-side: no path augments, the catalogue does
+    k23 = complete_bipartite(2, 3)
+    assert find_augmenting_path(k23, {0, 1}) is None
+    c = find_from_catalog(k23, {0, 1}, solver_catalog9)
+    assert (c.whites, c.blacks) == (frozenset({0, 1}), frozenset({2, 3, 4}))
 
 
 @settings(max_examples=40)
@@ -306,7 +310,10 @@ def test_catalog_finder_matches_oracle(seed, rnd):
     if rnd.random() < 0.5 and s:
         s = s - {rnd.choice(sorted(s))}
     got = find_from_catalog(g, s, cat)
-    assert (got is not None) == oracle_augmenting_exists(g, s, 7)
+    # where no augmenting path exists, every augmenting pair on at most 7
+    # vertices holds an irreducible one that is not a path
+    if find_augmenting_path(g, s) is None:
+        assert (got is not None) == oracle_augmenting_exists(g, s, 7)
     if got is not None:
         assert is_augmenting(g, s, got)
 
@@ -383,8 +390,11 @@ def test_catalog_finder_matches_reference_backtracker(solver_catalog9):
             smask = mask_of(s)
             first = None
             for entry, single in zip(solver_catalog9.entries, singles):
-                want = reference_embed_entry(g, smask, entry.graph)
                 got = find_from_catalog(g, s, single)
+                if is_path_entry(entry):
+                    assert got is None
+                    continue
+                want = reference_embed_entry(g, smask, entry.graph)
                 assert (got is None) == (want is None), entry.code.hex()
                 if got is None:
                     misses += 1
@@ -393,7 +403,8 @@ def test_catalog_finder_matches_reference_backtracker(solver_catalog9):
                 hits += 1
                 first = first or entry.code
             # both scan entries in catalogue order, so the whole
-            # catalogue returns the first entry that embeds
+            # catalogue returns the first entry that is not a path and
+            # embeds
             got = find_from_catalog(g, s, solver_catalog9)
             assert (got and got.detail) == first
     assert hits and misses
@@ -427,7 +438,6 @@ def test_catalog_plans_compile_once(monkeypatch, solver_catalog9):
         compiled.append(plan)
         return plan
 
-    monkeypatch.setattr(finders, "_ENTRY_PLANS", {})
     monkeypatch.setattr(finders, "_SCANS", {})
     monkeypatch.setattr(finders, "_Plan", counting_plan)
     class_pats = [Pattern("S", (1, 1, 3)), Pattern("K", (3, 3))]
@@ -435,15 +445,14 @@ def test_catalog_plans_compile_once(monkeypatch, solver_catalog9):
     for _ in range(2):
         for g in graphs:
             find_from_catalog(g, greedy_initial(g), solver_catalog9)
-    assert compiled
-    assert len(compiled) == len(finders._ENTRY_PLANS) <= len(solver_catalog9)
+    # one plan per entry that is not a path: all but P1, P3, P5 and P7
+    assert len(compiled) == 231 == len(solver_catalog9) - 4
+    _, scan = finders._SCANS[id(solver_catalog9)]
+    assert [item[2] for item in scan] == compiled
     # each compiled plan starts at a black of maximum degree and every
     # later vertex attaches to an already-placed one
-    for entry in solver_catalog9.entries:
-        hit = finders._ENTRY_PLANS.get(entry.code)
-        if hit is None:
-            continue
-        _, plan, _ = hit
+    for entry, _, plan, _ in scan:
+        assert not is_path_entry(entry)
         h = entry.graph
         first = plan.order[0]
         assert first in h.black
@@ -451,15 +460,12 @@ def test_catalog_plans_compile_once(monkeypatch, solver_catalog9):
         assert all(plan.edge_js[i] for i in range(1, len(plan.order)))
 
 
+def is_path_entry(entry):
+    return all(m.bit_count() <= 2 for m in entry.graph.graph.adj)
+
+
 def path_entries(catalog):
-    return Catalog(
-        catalog.max_vertices,
-        catalog.filters,
-        tuple(
-            e for e in catalog.entries
-            if all(m.bit_count() <= 2 for m in e.graph.graph.adj)
-        ),
-    )
+    return tuple(e for e in catalog.entries if is_path_entry(e))
 
 
 def small_star_instances():
@@ -487,39 +493,33 @@ def small_star_instances():
 def test_final_round_scan_matches_full_catalogue(
     monkeypatch, class_graphs7, solver_catalog9
 ):
-    def solve_recording(g, full):
-        rounds = []
+    # no path entry embeds on any set the catalogue scans, so the scan,
+    # which leaves them out, returns what the whole catalogue returns
+    paths = path_entries(solver_catalog9)
+    scanned = []
 
-        def recording(g, s, catalog, paths_ruled_out=False):
-            assert paths_ruled_out
-            got = find_from_catalog(
-                g, s, catalog, paths_ruled_out=not full
-            )
-            rounds.append((frozenset(s), got))
-            return got
+    def recording(g, s, catalog):
+        scanned.append((g, mask_of(s)))
+        return find_from_catalog(g, s, catalog)
 
-        with monkeypatch.context() as m:
-            m.setattr(solver, "find_from_catalog", recording)
-            res = solve_mis(g, SolveConfig(), solver_catalog9)
-        return res, rounds
-
+    monkeypatch.setattr(solver, "find_from_catalog", recording)
     graphs = seeded_line_graphs() + small_star_instances() + class_graphs7
     catalog_hits = 0
     for g in graphs:
-        pruned, pruned_rounds = solve_recording(g, full=False)
-        full, full_rounds = solve_recording(g, full=True)
-        assert pruned == full
-        assert pruned.finder_hits == full.finder_hits
-        assert pruned_rounds == full_rounds
-        catalog_hits += pruned.finder_hits["catalog"]
-    assert catalog_hits
+        res = solve_mis(g, SolveConfig(), solver_catalog9)
+        catalog_hits += res.finder_hits["catalog"]
+    assert catalog_hits and len(scanned) >= len(graphs)
+    for g, smask in scanned:
+        for e in paths:
+            assert reference_embed_entry(g, smask, e.graph) is None
 
 
 def test_path_entries_miss_where_the_path_finder_misses(
     class_graphs7, solver_catalog9
 ):
     paths = path_entries(solver_catalog9)
-    assert sorted(e.graph.graph.n for e in paths.entries) == [1, 3, 5, 7]
+    assert sorted(e.graph.graph.n for e in paths) == [1, 3, 5, 7]
+    only_paths = Catalog(9, solver_catalog9.filters, paths)
     graphs = seeded_line_graphs() + small_star_instances() + class_graphs7
     misses = 0
     for g in graphs:
@@ -527,12 +527,15 @@ def test_path_entries_miss_where_the_path_finder_misses(
         sets = [greedy] + [greedy - {v} for v in sorted(greedy)[:3]]
         sets.append(solve_mis(g, SolveConfig(), solver_catalog9).independent_set)
         for s in sets:
+            assert find_from_catalog(g, s, only_paths) is None
+            smask = mask_of(s)
+            embeds = [reference_embed_entry(g, smask, e.graph) for e in paths]
             if find_augmenting_path(g, s) is None:
                 misses += 1
-                assert find_from_catalog(g, s, paths) is None
+                assert embeds == [None] * len(paths)
             else:
                 # below 8 vertices every augmenting path is an entry
-                assert g.n > 7 or find_from_catalog(g, s, paths) is not None
+                assert g.n > 7 or embeds != [None] * len(paths)
     assert misses
 
 
@@ -546,24 +549,26 @@ def test_final_round_scan_follows_catalogue_identity(solver_catalog9):
     no_paths = Catalog(
         9,
         solver_catalog9.filters,
-        tuple(
-            e for e in solver_catalog9.entries
-            if e not in path_entries(solver_catalog9).entries
-        ),
+        tuple(e for e in solver_catalog9.entries if not is_path_entry(e)),
     )
     for cat in twins + [no_paths]:
         got = solve_mis(g, SolveConfig(), cat)
         assert got == want and got.finder_hits == want.finder_hits
-        assert (id(cat), True) in finders._SCANS
+        assert id(cat) in finders._SCANS
     # a scan dies with its catalogue, so an id the allocator hands out
     # again never finds the scan of an earlier catalogue
-    key = (id(no_paths), True)
+    key = id(no_paths)
     del twins, no_paths, cat
     gc.collect()
     assert key not in finders._SCANS
-    p3 = path_graph(3)
+    k23 = complete_bipartite(2, 3)
+    k23_entry = tuple(
+        e for e in enumerate_irreducible(5).entries
+        if e.graph.graph.num_edges == 6
+    )
+    assert len(k23_entry) == 1
     for _ in range(20):
-        only_p3 = Catalog(3, (), enumerate_irreducible(3).entries[1:])
-        assert find_from_catalog(p3, {1}, only_p3) is not None
-        empty = Catalog(3, (), ())
-        assert find_from_catalog(p3, {1}, empty) is None
+        only_k23 = Catalog(5, (), k23_entry)
+        assert find_from_catalog(k23, {0, 1}, only_k23) is not None
+        empty = Catalog(5, (), ())
+        assert find_from_catalog(k23, {0, 1}, empty) is None

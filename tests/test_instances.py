@@ -97,6 +97,14 @@ def test_plant_spec_validation():
         PlantSpec(k=5, p=2, extras=5)  # extras > 2p
     with pytest.raises(ValueError):
         PlantSpec(k=4, p=1)
+    # 2k + 1 + 2 extras vertices, checked before anything is built
+    with pytest.raises(ValueError, match="the cap is 65536"):
+        PlantSpec(k=1_000_000_000, p=3, seed=1)
+    with pytest.raises(ValueError, match="the cap is 65536"):
+        PlantSpec(k=32767, p=3, extras=1)  # 65537 vertices
+    # the counts are odd, so 65535 is the largest accepted
+    PlantSpec(k=32767, p=3)
+    PlantSpec(k=32766, p=3, extras=1)
 
 
 def test_plant_bare_star():

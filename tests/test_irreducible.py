@@ -206,8 +206,11 @@ def test_ramsey_bounds():
 
 
 def test_ramsey_budget_error():
-    with pytest.raises(SearchBudgetError):
-        bipartite_ramsey_search(3, 3, max_matching=2)
+    # half graphs on 5 + 5 vertices hold neither K(4,4) nor an induced
+    # 2-matching, so the search goes on to matching size 6, whose 2^30
+    # graphs are over the budget
+    with pytest.raises(SearchBudgetError, match="matching size 6"):
+        bipartite_ramsey_search(4, 2)
     with pytest.raises(ValueError):
         bipartite_ramsey_search(0, 1)
 

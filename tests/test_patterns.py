@@ -26,6 +26,7 @@ from augmis import (
     spider,
 )
 from augmis.canonical import canon_code
+from augmis.graphs import MAX_VERTICES
 from augmis.enumeration import grow_graphs
 from augmis.patterns import _Compiled, all_maximal_subdivided_stars
 from conftest import graphs_st
@@ -72,6 +73,26 @@ def test_build_rejects_bad_parameters():
         Pattern("X", (1,))
     with pytest.raises(ValueError):
         Pattern("S", (1, 1))
+
+
+def test_named_graph_size_cap():
+    # vertex and edge counts come from the parameters, before any build
+    for text in (
+        "P100000000000",
+        "C65537",
+        "K100000",
+        "K363",  # 363 vertices, 65703 edges
+        "K256x257",
+        "S1x1x65534",
+        "T32768",
+    ):
+        with pytest.raises(ValueError, match="the cap is 65536"):
+            parse_pattern(text)
+    # the caps themselves are accepted
+    assert MAX_VERTICES == 65536
+    assert parse_pattern("K1x65535").build().n == MAX_VERTICES
+    assert parse_pattern("K256x256").build().num_edges == MAX_VERTICES
+    assert parse_pattern("K362").build().num_edges == 65341
 
 
 def test_parse_and_str_round_trip():
