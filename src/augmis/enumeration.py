@@ -1,12 +1,19 @@
 """Exhaustive generation of small graphs, one per isomorphism class.
 
 All three generators run one level-wise loop, ``_grow``: each level is a
-dict from canonical code to the first representative seen, the children
-of every representative are formed by adding ``step`` fresh vertices,
-and a child is kept when it passes the generator's shape check and has
-no induced filter pattern through a fresh vertex.  The generators differ
-only in their seeds, their step and how they attach the fresh vertices.
-Completeness rests on two facts:
+dict from canonical code to the first representative seen, and the
+children of every representative are formed by adding ``step`` fresh
+vertices.  Each child goes through three steps, cheapest first:
+
+1. the generator's shape check (bipartite or connected);
+2. its canonical code, and a skip if that code is already kept in the
+   next level or already rejected at it;
+3. otherwise, the induced filter search through the fresh vertices, run
+   once for the class: a passing child is kept as the representative of
+   its code, a failing one leaves its code among the rejected.
+
+The generators differ only in their seeds, their step and how they
+attach the fresh vertices.  Completeness rests on two facts:
 
 * every connected graph on n >= 2 vertices has a non-cut vertex, so the
   connected graphs on n arise from those on n-1 by attaching one vertex
@@ -16,8 +23,13 @@ Completeness rests on two facts:
   connected, so those graphs arise from the (m-1, m) level by adding one
   white-black pair.
 
-Induced-subgraph filters are hereditary, so a child only needs checking
-against copies through the vertices it just gained.
+Induced-subgraph filters are hereditary and every parent passed them,
+so a child only needs checking against copies through the vertices it
+just gained, and that check holds or fails for the whole isomorphism
+class at once: the first child of a class decides it.  The first child
+of a passing class is therefore also its first passing child, so the
+representatives and the yield order are those of a loop that filters
+every child before deduplicating.
 """
 
 from __future__ import annotations
@@ -45,29 +57,30 @@ def _grow(
 ) -> Iterator[Raw]:
     """Level-wise growth with canonical-code dedup per level.
 
-    ``seeds`` are single-vertex graphs.  Each level is yielded in
-    ascending canonical-code order; nothing is yielded when ``n_max`` is
-    below 1.
+    ``seeds`` are single-vertex graphs.  Each child is shape-checked,
+    then coded, and only the first child of each new code is searched
+    for a filter pattern through its fresh vertices; the codes that fail
+    are kept per level in ``rejected`` so that no later child of the
+    same class is searched again.  Each level is yielded in ascending
+    canonical-code order; nothing is yielded when ``n_max`` is below 1.
     """
     if n_max < 1:
         return
     checks = [_compile(_as_graph(p)) for p in free_of]
 
-    def keep(n: int, adj: Adj, fresh: range) -> bool:
-        if shape is not None and not shape(n, adj):
-            return False
+    def filtered(n: int, adj: Adj, fresh: range) -> bool:
         if checks:
             deg = [m.bit_count() for m in adj]
             for c in checks:
                 for v in fresh:
                     if _contains_anchored(n, adj, deg, c, v):
-                        return False
-        return True
+                        return True
+        return False
 
     n = 1
     level: dict[bytes, tuple[Adj, Cols]] = {}
     for adj, cols in seeds:
-        if keep(1, adj, range(1)):
+        if (shape is None or shape(1, adj)) and not filtered(1, adj, range(1)):
             level[canon_code(1, adj, cols)] = (adj, cols)
     while True:
         for code in sorted(level):
@@ -78,12 +91,18 @@ def _grow(
             return
         fresh = range(n - step, n)
         nxt: dict[bytes, tuple[Adj, Cols]] = {}
+        rejected: set[bytes] = set()
         for padj, pcols in level.values():
             for adj, cols in children(padj, pcols):
-                if keep(n, adj, fresh):
-                    code = canon_code(n, adj, cols)
-                    if code not in nxt:
-                        nxt[code] = (adj, cols)
+                if shape is not None and not shape(n, adj):
+                    continue
+                code = canon_code(n, adj, cols)
+                if code in nxt or code in rejected:
+                    continue
+                if filtered(n, adj, fresh):
+                    rejected.add(code)
+                else:
+                    nxt[code] = (adj, cols)
         level = nxt
 
 

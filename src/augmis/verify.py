@@ -243,6 +243,8 @@ def verify_path_or_cycle(
     Enumerates the family up to n_max vertices, filters the members
     containing an induced P(8), and shape-checks each one.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     if n_max > 12:
         raise ValueError("sweep capped at 12 vertices")
     p8 = Pattern("P", (8,))
@@ -271,6 +273,8 @@ def verify_star_anatomy(
 
     Also asserts the strata cover the whole (connected) graph.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     if n_max > 13:
         raise ValueError("sweep capped at 13 vertices")
     counts: dict[int, int] = {}

@@ -314,6 +314,17 @@ def test_verify_extension_rejects_small_p(capsys):
     assert "error:" in err and "at least 2" in err
 
 
+def test_verify_rejects_bounds_below_one_vertex(capsys):
+    for lemma in ("path-or-cycle", "anatomy", "extension", "min-classes"):
+        for n_max in ("0", "-3"):
+            code, out, err = run(
+                capsys, "verify", "--lemma", lemma, "--n-max", n_max, "--json"
+            )
+            assert code == 1 and out == "", (lemma, n_max)
+            assert "error: n_max must be at least 1" in err
+            assert "Traceback" not in err
+
+
 def test_gen_plant_then_solve_and_oracle_agree(tmp_path, capsys):
     out = tmp_path / "plant.col"
     code, _, err = run(

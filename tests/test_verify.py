@@ -78,6 +78,15 @@ def test_star_anatomy_bound_checks():
         verify_star_anatomy(14)
 
 
+def test_sweeps_reject_bounds_below_one_vertex():
+    for sweep in (verify_path_or_cycle, verify_star_anatomy):
+        for n_max in (0, -3):
+            with pytest.raises(ValueError, match="at least 1"):
+                sweep(n_max)
+            with pytest.raises(ValueError, match="at least 1"):
+                sweep(n_max, corpus=())
+
+
 def test_extension_bound_small():
     rep = verify_extension_bound(2, 11)
     assert rep.ok
