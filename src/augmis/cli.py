@@ -105,22 +105,30 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 f"census {_format_census(catalog.census())}) does not cover "
                 f"--catalog-n-max {cfg.catalog_n_max} --p {cfg.p}"
             )
-    else:
-        catalog = default_catalog(cfg)
-    violations = []
+    run_args = {"graph": args.graph, "p": args.p, "catalog_n_max": args.catalog_n_max}
     hit = find_forbidden(g, class_patterns(cfg.p)) if args.validate_class else None
     if hit is not None:
+        # out of class: report the witness and stop, since the solve may
+        # take super-polynomial time there (K(n,n) for instance)
         pat, emb = hit
-        violations.append(
+        violations = [
             {"pattern": str(pat), "embedding": {str(k): v for k, v in emb.items()}}
-        )
+        ]
+        if args.json:
+            print(json.dumps({"violations": violations}, sort_keys=True))
+        else:
+            print(f"violation {pat}", file=sys.stderr)
+        _emit_manifest("solve", run_args, started, {"violations": len(violations)})
+        return 2
+    if not args.catalog:
+        catalog = default_catalog(cfg)
     result = solve_mis(g, cfg, catalog)
     payload = {
         "alpha": result.alpha,
         "set": sorted(result.independent_set),
         "iterations": result.iterations,
         "finders": dict(result.finder_hits),
-        "violations": violations,
+        "violations": [],
     }
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -133,15 +141,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             f"finders path={hits['path']} tree={hits['tree']} "
             f"catalog={hits['catalog']}"
         )
-        for v in violations:
-            print(f"violation {v['pattern']}", file=sys.stderr)
     _emit_manifest(
         "solve",
-        {"graph": args.graph, "p": args.p, "catalog_n_max": args.catalog_n_max},
+        run_args,
         started,
         {"alpha": result.alpha, "iterations": result.iterations},
     )
-    return 2 if violations else 0
+    return 0
 
 
 def _cmd_atlas(args: argparse.Namespace) -> int:

@@ -6,7 +6,8 @@ independent, outnumber the whites by one or more, and every neighbour of
 a black inside S is one of the whites.  Three finders cover the three
 shapes a minimal augmenting subgraph can take in the target graph class:
 alternating chordless paths of even length, extensions of subdivided
-stars, and members of a finite catalogue.
+stars, and members of a finite catalogue.  All three read the S-degree
+classes of one ``RoundState``, which ``solve_mis`` builds once per round.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from __future__ import annotations
 import weakref
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from typing import Iterable, Optional
+from operator import or_
+from typing import Iterable, NamedTuple, Optional
 
 from .graphs import Graph, bits, is_independent, mask_of, set_of
 from .irreducible import Catalog, CatalogEntry
@@ -23,23 +26,13 @@ from .patterns import _anchored_order, _Plan, _search
 
 __all__ = [
     "AugCandidate",
-    "TreeExtension",
+    "RoundState",
+    "round_state",
     "is_augmenting",
     "find_augmenting_path",
     "find_tree_extension",
     "find_from_catalog",
 ]
-
-
-@dataclass(frozen=True)
-class TreeExtension:
-    """Shape detail of a star-extension candidate."""
-
-    centre: int
-    inner: tuple[int, ...]
-    outer: tuple[int, ...]
-    extra_white: tuple[int, ...]
-    extra_black: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -50,6 +43,30 @@ class AugCandidate:
     blacks: frozenset[int]
     shape: str  # "path" | "tree_extension" | "catalog"
     detail: object = None
+
+
+class RoundState(NamedTuple):
+    """What the three finders share about one independent set S.
+
+    ``by_degree[d]`` holds the vertices outside S with exactly d
+    neighbours in S.  It has n + 3 classes, so every class from 0 to
+    |S| exists, and classes 0-2 exist on every graph.
+    """
+
+    smask: int
+    rmask: int
+    by_degree: list[int]
+
+
+def round_state(g: Graph, s: Iterable[int]) -> RoundState:
+    """The round state of ``g`` and the independent set ``s``."""
+    smask = mask_of(s)
+    rmask = ((1 << g.n) - 1) & ~smask
+    adj = g.adj
+    by_degree = [0] * (g.n + 3)
+    for v in bits(rmask):
+        by_degree[(adj[v] & smask).bit_count()] |= 1 << v
+    return RoundState(smask, rmask, by_degree)
 
 
 def is_augmenting(g: Graph, s: Iterable[int], cand: AugCandidate) -> bool:
@@ -78,7 +95,9 @@ def is_augmenting(g: Graph, s: Iterable[int], cand: AugCandidate) -> bool:
     return True
 
 
-def find_augmenting_path(g: Graph, s: Iterable[int]) -> Optional[AugCandidate]:
+def find_augmenting_path(
+    g: Graph, s: Iterable[int], state: Optional[RoundState] = None
+) -> Optional[AugCandidate]:
     """An augmenting chordless alternating path, or None.
 
     The path runs b0 w1 b1 ... wk bk with blacks outside S and whites
@@ -97,22 +116,19 @@ def find_augmenting_path(g: Graph, s: Iterable[int]) -> Optional[AugCandidate]:
     completion of the path is such a walk, so the bound is exact; and the
     DFS order is unchanged, so the path returned is the one the unpruned
     search finds first.
+
+    ``state`` is the round state of (g, s); it is built here when absent.
     """
-    smask = mask_of(s)
+    s = frozenset(s)
+    if state is None:
+        state = round_state(g, s)
+    smask, rmask, by_degree = state
     adj = g.adj
-    full = (1 << g.n) - 1
-    rmask = full & ~smask
     # vertices outside S with at most one (the possible endpoints), exactly
     # one and exactly two S-neighbours
-    starts = ends = mids = 0
-    for v in bits(rmask):
-        k = (adj[v] & smask).bit_count()
-        if k <= 1:
-            starts |= 1 << v
-            if k:
-                ends |= 1 << v
-        elif k == 2:
-            mids |= 1 << v
+    ends = by_degree[1]
+    starts = by_degree[0] | ends
+    mids = by_degree[2]
 
     def reaches_end(w: int, free_b: int, free_w: int) -> bool:
         todo = 1 << w
@@ -170,7 +186,7 @@ def find_augmenting_path(g: Graph, s: Iterable[int]) -> Optional[AugCandidate]:
 
 
 def find_tree_extension(
-    g: Graph, s: Iterable[int], p: int
+    g: Graph, s: Iterable[int], p: int, state: Optional[RoundState] = None
 ) -> Optional[AugCandidate]:
     """An augmenting extension of a subdivided star, or None.
 
@@ -186,21 +202,23 @@ def find_tree_extension(
     On inputs from the target class the chosen leaves are automatically
     independent; if they are not, the graph is outside the class and the
     scan continues.
+
+    ``state`` is the round state of (g, s); it is built here when absent.
     """
     if p < 2:
         raise ValueError("class parameter p must be at least 2")
     s = frozenset(s)
-    smask = mask_of(s)
+    if state is None:
+        state = round_state(g, s)
+    smask, rmask, by_degree = state
     adj = g.adj
-    full = (1 << g.n) - 1
-    rmask = full & ~smask
     k_min = p + 2
 
-    centres = [u for u in bits(rmask) if (adj[u] & smask).bit_count() >= k_min]
+    centres = list(bits(reduce(or_, by_degree[k_min:], 0)))
     if not centres:
         return None
     r_list = list(bits(rmask))
-    s_list = sorted(s)
+    s_list = list(bits(smask))
     ns_of = {v: adj[v] & smask for v in r_list}
 
     for m in range(0, 2 * p + 1):
@@ -236,18 +254,7 @@ def find_tree_extension(
                     blacks = (
                         frozenset([u]) | frozenset(leaves) | set_of(q2mask)
                     )
-                    result = AugCandidate(
-                        whites,
-                        blacks,
-                        "tree_extension",
-                        detail=TreeExtension(
-                            u,
-                            tuple(bits(a0)),
-                            tuple(leaves),
-                            tuple(q1),
-                            tuple(q2),
-                        ),
-                    )
+                    result = AugCandidate(whites, blacks, "tree_extension")
                     if is_augmenting(g, s, result):
                         return result
     return None
@@ -284,7 +291,7 @@ def _pick_leaves(
 
 
 def find_from_catalog(
-    g: Graph, s: Iterable[int], catalog: Catalog
+    g: Graph, s: Iterable[int], catalog: Catalog, state: Optional[RoundState] = None
 ) -> Optional[AugCandidate]:
     """First catalogue entry that is not a path and embeds as an
     augmenting subgraph.
@@ -304,79 +311,138 @@ def find_from_catalog(
     compiled into a search plan for the shared ``patterns._search``
     engine: the plan starts at a black of maximum degree and every later
     vertex attaches to an already-placed one, so no position branches
-    over all of S or all of V - S.  The compiled scan of a catalogue
-    object is kept for its lifetime.
+    over all of S or all of V - S.
 
     Claw-centre bound: entry blacks are independent, so a white of entry
     degree 3 or more is placed on a vertex of S whose neighbours outside
     S contain an independent triple, the centre of an induced claw with
     its leaves outside S.  Such whites draw from the claw centres only.
     No embedding is lost and the candidate order within each domain is
-    unchanged, so the result is the one the search over all of S finds;
-    on claw-free graphs every entry with such a white is skipped by the
-    per-domain count check.
+    unchanged, so the result is the one the search over all of S finds.
+
+    Fit index: an entry can embed only if it has at most n vertices and
+    each domain holds at least as many vertices as the entry places in
+    it.  The index holds, per domain, the set of entries that fit each
+    domain size, and the set of entries that fit each n, as bitsets over
+    the scan.  One AND per domain leaves exactly the entries that this
+    per-entry count check admits; they are tried in scan order, so the
+    first hit is the one the per-entry check finds.  The claw centres are
+    computed only when an entry still admitted needs one; on claw-free
+    graphs the count check then rejects every entry with such a white.
+    The compiled scan and its index are kept for the catalogue object's
+    lifetime.
+
+    ``state`` is the round state of (g, s); it is built here when absent.
     """
     s = frozenset(s)
-    smask = mask_of(s)
+    if state is None:
+        state = round_state(g, s)
+    scan = _scan_of(catalog)
+    fit, doms = _admitted(scan, g, state)
+    if not fit:
+        return None
     adj = g.adj
-    n = g.n
-    rmask = ((1 << n) - 1) & ~smask
-    # domain 0 is S, domain 1 the claw centres in S; domain 2 + d holds
-    # the vertices outside S with exactly d neighbours in S
-    doms = [smask, _claw_centres(adj, smask, rmask)] + [0] * n
-    for v in bits(rmask):
-        doms[2 + (adj[v] & smask).bit_count()] |= 1 << v
-    sizes = [m.bit_count() for m in doms]
     g_deg = [m.bit_count() for m in adj]
-    images = [0] * n
-
-    for entry, hn, plan, need in _scan_of(catalog):
-        if hn > n:
+    images = [0] * g.n
+    items = scan.items
+    while fit:
+        low = fit & -fit
+        fit ^= low
+        entry, plan = items[low.bit_length() - 1]
+        if not _search(plan, adj, g_deg, doms, images, 0, 0):
             continue
-        # blacks of an entry that fits have degree < n, so k <= n + 1
-        for k, c in need:
-            if sizes[k] < c:
-                break
-        else:
-            if not _search(plan, adj, g_deg, doms, images, 0, 0):
-                continue
-            h = entry.graph
-            emb = dict(zip(plan.order, images))
-            cand = AugCandidate(
-                frozenset(emb[w] for w in h.white),
-                frozenset(emb[b] for b in h.black),
-                "catalog",
-                detail=entry.code,
-            )
-            if __debug__:
-                assert is_augmenting(g, s, cand)
-            return cand
+        h = entry.graph
+        emb = dict(zip(plan.order, images))
+        cand = AugCandidate(
+            frozenset(emb[w] for w in h.white),
+            frozenset(emb[b] for b in h.black),
+            "catalog",
+            detail=entry.code,
+        )
+        if __debug__:
+            assert is_augmenting(g, s, cand)
+        return cand
     return None
 
 
-# The scan of a catalogue: each entry that is not a path, in catalogue
-# order, with its vertex count, compiled plan and per-domain position
-# counts.
-_ScanItem = tuple[CatalogEntry, int, _Plan, tuple[tuple[int, int], ...]]
+class _Scan(NamedTuple):
+    """The compiled scan of a catalogue and its fit index.
+
+    ``items`` holds each entry that is not a path, in catalogue order,
+    with its compiled plan; bit i of an index mask stands for items[i].
+    ``upto[m]`` is the set of entries with at most m vertices.  ``rows``
+    pairs each domain k that some entry needs with ``fits``, where
+    ``fits[c]`` is the set of entries that place at most c vertices in
+    domain k; domain 1, the claw centres, comes last.
+    """
+
+    items: list[tuple[CatalogEntry, _Plan]]
+    upto: list[int]
+    rows: list[tuple[int, list[int]]]
+
+
 # Scans keyed by id(catalog).  Each keeps a weak reference to its
 # catalogue: the identity check guards against a reused id, and the
 # reference's callback drops the scan with the catalogue.
-_SCANS: dict[int, tuple[weakref.ref, list[_ScanItem]]] = {}
+_SCANS: dict[int, tuple[weakref.ref, _Scan]] = {}
 
 
-def _scan_of(catalog: Catalog) -> list[_ScanItem]:
+def _scan_of(catalog: Catalog) -> _Scan:
     key = id(catalog)
     memo = _SCANS.get(key)
     if memo is not None and memo[0]() is catalog:
         return memo[1]
-    scan = [
-        _compile_entry(entry)
-        for entry in catalog.entries
-        if any(m.bit_count() > 2 for m in entry.graph.graph.adj)
+    items, sizes, needs = [], [], []
+    for entry in catalog.entries:
+        hg = entry.graph.graph
+        if all(m.bit_count() <= 2 for m in hg.adj):
+            continue
+        plan, need = _compile_entry(entry)
+        items.append((entry, plan))
+        sizes.append(hg.n)
+        needs.append(need)
+    upto = [0] * (max(sizes, default=0) + 1)
+    top: dict[int, int] = {}
+    for i, (hn, need) in enumerate(zip(sizes, needs)):
+        for m in range(hn, len(upto)):
+            upto[m] |= 1 << i
+        for k, c in need.items():
+            top[k] = max(top.get(k, 0), c)
+    rows = [
+        (k, [
+            mask_of(i for i, need in enumerate(needs) if need[k] <= c)
+            for c in range(top[k] + 1)
+        ])
+        for k in sorted(top, key=lambda k: (k == 1, k))
     ]
+    scan = _Scan(items, upto, rows)
     ref = weakref.ref(catalog, lambda _: _SCANS.pop(key, None))
     _SCANS[key] = (ref, scan)
     return scan
+
+
+def _admitted(scan: _Scan, g: Graph, state: RoundState) -> tuple[int, list[int]]:
+    """The scan positions of the entries that pass the count check on
+    (g, S), and the search domains: domain 0 is S, domain 1 the claw
+    centres in S (computed only when an admitted entry needs one, else
+    left empty), domain 2 + d the vertices outside S with exactly d
+    neighbours in S."""
+    smask, rmask, by_degree = state
+    doms = [smask, 0, *by_degree]
+    upto = scan.upto
+    fit = upto[min(g.n, len(upto) - 1)]
+    for k, fits in scan.rows:
+        # skip a domain that no entry still admitted places a vertex in;
+        # an admitted entry has at most n vertices, so its blacks have
+        # degree below n and k <= n + 1 is within doms
+        if not fit & ~fits[0]:
+            continue
+        if k == 1:
+            doms[1] = _claw_centres(g.adj, smask, rmask)
+        fit &= fits[min(doms[k].bit_count(), len(fits) - 1)]
+        if not fit:
+            break
+    return fit, doms
 
 
 def _claw_centres(adj: tuple[int, ...], smask: int, rmask: int) -> int:
@@ -384,7 +450,8 @@ def _claw_centres(adj: tuple[int, ...], smask: int, rmask: int) -> int:
     neighbours outside S."""
     out = 0
     for v in bits(smask):
-        if _has_independent_triple(adj, adj[v] & rmask):
+        xs = adj[v] & rmask
+        if xs.bit_count() >= 3 and _has_independent_triple(adj, xs):
             out |= 1 << v
     return out
 
@@ -402,7 +469,9 @@ def _has_independent_triple(adj: tuple[int, ...], xs: int) -> bool:
     return False
 
 
-def _compile_entry(entry: CatalogEntry) -> _ScanItem:
+def _compile_entry(entry: CatalogEntry) -> tuple[_Plan, Counter]:
+    """The entry's search plan and the number of its vertices each
+    domain must hold."""
     h = entry.graph
     hg = h.graph
     dom_of = [
@@ -413,4 +482,4 @@ def _compile_entry(entry: CatalogEntry) -> _ScanItem:
     plan = _Plan(hg, _anchored_order(hg, first), dom_of)
     counts = Counter(dom_of)
     counts[0] += counts[1]  # claw centres lie in S too
-    return entry, hg.n, plan, tuple(sorted(counts.items()))
+    return plan, counts

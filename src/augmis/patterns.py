@@ -267,12 +267,14 @@ def _search(
     images: list[int],
     start: int,
     used: int,
+    twins: Optional[Sequence[int]] = None,
 ) -> bool:
     """Extend ``images[:start]`` to a full induced embedding of the plan.
 
     Position i draws its image from ``doms[plan.dom[i]]`` minus the host
     vertices already ``used``; on success ``images`` holds the embedding
-    in plan order.
+    in plan order.  With ``twins`` (see ``_twins``; a single domain only),
+    a host vertex that fails at a position takes its twins with it.
     """
     order_len = len(plan.order)
     if start == order_len:
@@ -316,7 +318,26 @@ def _search(
             cand_stack.pop()
             used_stack.pop()
             i -= 1
+            if twins is not None and cand_stack:
+                cand_stack[-1] &= ~twins[images[i]]
     return False
+
+
+def _twins(g_adj: tuple[int, ...]) -> list[int]:
+    """Per host vertex v, the vertices u with N(u) = N(v) or N[u] = N[v].
+
+    Swapping v and such a u is an automorphism of the host.  It fixes
+    every other vertex, so where v fails at a position no unused twin of
+    v can succeed there: the pruning loses no embedding and keeps the
+    search order.
+    """
+    by_open: dict[int, int] = {}
+    by_closed: dict[int, int] = {}
+    for v, m in enumerate(g_adj):
+        by_open[m] = by_open.get(m, 0) | 1 << v
+        c = m | 1 << v
+        by_closed[c] = by_closed.get(c, 0) | 1 << v
+    return [by_open[m] | by_closed[m | 1 << v] for v, m in enumerate(g_adj)]
 
 
 def find_induced(g: Graph, pattern: PatternLike) -> Optional[dict[int, int]]:
@@ -325,7 +346,10 @@ def find_induced(g: Graph, pattern: PatternLike) -> Optional[dict[int, int]]:
     The returned map sends pattern vertices to g vertices; adjacency is
     preserved exactly in both directions.  Deterministic: the first
     embedding in the backtracking order (pattern vertices by descending
-    degree, candidates ascending).
+    degree, candidates ascending).  Twins of a host vertex that fails at
+    a position are skipped there, which returns the same embedding; a
+    K(n, n) host is then refuted for S(1,1,3) at once instead of in
+    order n^3 steps.
     """
     p = _as_graph(pattern)
     if p.n == 0 or p.n > g.n:
@@ -333,7 +357,8 @@ def find_induced(g: Graph, pattern: PatternLike) -> Optional[dict[int, int]]:
     plan = _compile(p).generic
     g_deg = [m.bit_count() for m in g.adj]
     images = [0] * p.n
-    if _search(plan, g.adj, g_deg, ((1 << g.n) - 1,), images, 0, 0):
+    full = (1 << g.n) - 1
+    if _search(plan, g.adj, g_deg, (full,), images, 0, 0, _twins(g.adj)):
         return {plan.order[i]: images[i] for i in range(p.n)}
     return None
 

@@ -21,6 +21,7 @@ from .finders import (
     find_from_catalog,
     find_tree_extension,
     is_augmenting,
+    round_state,
 )
 from .graphs import Graph, bits, is_independent, set_of
 from .irreducible import Catalog, enumerate_irreducible
@@ -157,8 +158,9 @@ def solve_mis(
 ) -> SolveResult:
     """Maximum independent set by iterated augmentation.
 
-    Each round runs the path, star-extension and catalogue finders in
-    that order.  Each finder owns one shape: ``find_from_catalog`` leaves
+    Each round builds one ``RoundState`` of the current set and runs the
+    path, star-extension and catalogue finders on it, in that order.
+    Each finder owns one shape: ``find_from_catalog`` leaves
     the path entries to ``find_augmenting_path``, an exhaustive search
     that has missed on the same set before the catalogue runs, so the
     result is the one a scan of the whole catalogue gives.
@@ -175,14 +177,15 @@ def solve_mis(
     hits = {"path": 0, "tree": 0, "catalog": 0}
     iterations = 0
     while True:
+        state = round_state(g, s)
         name = "path"
-        cand = find_augmenting_path(g, s)
+        cand = find_augmenting_path(g, s, state)
         if cand is None:
             name = "tree"
-            cand = find_tree_extension(g, s, cfg.p)
+            cand = find_tree_extension(g, s, cfg.p, state)
         if cand is None:
             name = "catalog"
-            cand = find_from_catalog(g, s, catalog)
+            cand = find_from_catalog(g, s, catalog, state)
         if cand is None:
             break
         hits[name] += 1

@@ -53,15 +53,22 @@ def test_solve_file_and_text_output(tmp_path, capsys):
 
 
 def test_solve_class_violation_exit_code(capsys):
-    # spider(1,1,4) contains the forbidden spider(1,1,3); full stdout pinned
+    # spider(1,1,4) contains the forbidden spider(1,1,3): the witness is
+    # reported and nothing is solved; full stdout pinned
     code, out, err = run(capsys, "solve", "S1x1x4", "--validate-class", "--json")
     assert code == 2
     assert out == (
-        '{"alpha": 4, "finders": {"catalog": 0, "path": 1, "tree": 0}, '
-        '"iterations": 1, "set": [1, 2, 4, 6], "violations": [{"embedding": '
+        '{"violations": [{"embedding": '
         '{"0": 0, "1": 1, "2": 2, "3": 3, "4": 4, "5": 5}, '
         '"pattern": "S1x1x3"}]}\n'
     )
+    code, out, err = run(capsys, "solve", "S1x1x4", "--validate-class")
+    assert code == 2 and out == ""
+    assert err.startswith("violation S1x1x3\nmanifest: ")
+    # K(256,256) is out of class too; its solve would not finish
+    code, out, _ = run(capsys, "solve", "K256x256", "--validate-class", "--json")
+    assert code == 2
+    assert json.loads(out)["violations"][0]["pattern"] == "K3x3"
     # without validation the same input exits 0
     code, _, _ = run(capsys, "solve", "S1x1x4", "--json")
     assert code == 0

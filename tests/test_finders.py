@@ -9,11 +9,14 @@ The path finder is compared, candidate for candidate, with the unpruned
 path search kept here as a reference.  The catalogue finder leaves the
 path entries to the path finder; the reference backtracker checks that
 none of them embeds on any set the catalogue scans in ``solve_mis``.
+The catalogue's fit index is compared with a per-entry count check, and
+the round state with S-degrees, both recomputed here vertex by vertex.
 """
 
 import gc
 import random
 import warnings
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -199,8 +202,8 @@ def test_path_finder_matches_reference(
 ):
     found = []
 
-    def checked(g, s):
-        got = find_augmenting_path(g, s)
+    def checked(g, s, state=None):
+        got = find_augmenting_path(g, s, state)
         assert got == reference_find_augmenting_path(g, s)
         found.append(got is not None)
         return got
@@ -448,10 +451,35 @@ def test_catalog_plans_compile_once(monkeypatch, solver_catalog9):
     # one plan per entry that is not a path: all but P1, P3, P5 and P7
     assert len(compiled) == 231 == len(solver_catalog9) - 4
     _, scan = finders._SCANS[id(solver_catalog9)]
-    assert [item[2] for item in scan] == compiled
+    assert [plan for _, plan in scan.items] == compiled
+    # the fit index is built with the scan: upto[m] holds the entries
+    # with at most m vertices, and fits[c] of domain k the entries that
+    # place at most c vertices there (whites in S, whites of degree 3 or
+    # more among the claw centres, blacks of degree d outside S)
+    assert scan is finders._scan_of(solver_catalog9)
+    sizes = [entry.graph.graph.n for entry, _ in scan.items]
+    assert scan.upto == [
+        mask_of(i for i, hn in enumerate(sizes) if hn <= m)
+        for m in range(max(sizes) + 1)
+    ]
+    needs = []
+    for entry, _ in scan.items:
+        h = entry.graph
+        whites = [v for v in range(h.graph.n) if v not in h.black]
+        need = Counter(2 + h.graph.degree(b) for b in h.black)
+        need[0] = len(whites)
+        need[1] = sum(h.graph.degree(w) >= 3 for w in whites)
+        needs.append(need)
+    domains = sorted({k for need in needs for k, c in need.items() if c})
+    assert [k for k, _ in scan.rows] == [k for k in domains if k != 1] + [1]
+    for k, fits in scan.rows:
+        assert fits == [
+            mask_of(i for i, need in enumerate(needs) if need[k] <= c)
+            for c in range(max(need[k] for need in needs) + 1)
+        ]
     # each compiled plan starts at a black of maximum degree and every
     # later vertex attaches to an already-placed one
-    for entry, _, plan, _ in scan:
+    for entry, plan in scan.items:
         assert not is_path_entry(entry)
         h = entry.graph
         first = plan.order[0]
@@ -498,9 +526,9 @@ def test_final_round_scan_matches_full_catalogue(
     paths = path_entries(solver_catalog9)
     scanned = []
 
-    def recording(g, s, catalog):
+    def recording(g, s, catalog, state=None):
         scanned.append((g, mask_of(s)))
-        return find_from_catalog(g, s, catalog)
+        return find_from_catalog(g, s, catalog, state)
 
     monkeypatch.setattr(solver, "find_from_catalog", recording)
     graphs = seeded_line_graphs() + small_star_instances() + class_graphs7
@@ -554,7 +582,9 @@ def test_final_round_scan_follows_catalogue_identity(solver_catalog9):
     for cat in twins + [no_paths]:
         got = solve_mis(g, SolveConfig(), cat)
         assert got == want and got.finder_hits == want.finder_hits
-        assert id(cat) in finders._SCANS
+        ref, scan = finders._SCANS[id(cat)]
+        assert ref() is cat and len(scan.items) == 231
+        assert scan.upto[-1] == (1 << 231) - 1
     # a scan dies with its catalogue, so an id the allocator hands out
     # again never finds the scan of an earlier catalogue
     key = id(no_paths)
@@ -572,3 +602,187 @@ def test_final_round_scan_follows_catalogue_identity(solver_catalog9):
         assert find_from_catalog(k23, {0, 1}, only_k23) is not None
         empty = Catalog(5, (), ())
         assert find_from_catalog(k23, {0, 1}, empty) is None
+
+
+def maximal_sets(g, seed):
+    """Greedy's maximal set and the greedy sets of two seeded random
+    vertex orders."""
+    rnd = random.Random(seed)
+    out = [greedy_initial(g)]
+    for _ in range(2):
+        order = list(range(g.n))
+        rnd.shuffle(order)
+        taken = 0
+        for v in order:
+            if not g.adj[v] & taken:
+                taken |= 1 << v
+        out.append(set_of(taken))
+    return out
+
+
+def round_graphs(class_graphs7):
+    class_pats = [Pattern("S", (1, 1, 3)), Pattern("K", (3, 3))]
+    free = [
+        gen_free_random(n, 0.3, class_pats, 100 * n + seed)
+        for n in range(10, 15)
+        for seed in range(4)
+    ]
+    return seeded_line_graphs() + class_graphs7[::10] + free
+
+
+def reference_admitted(g, smask, scan):
+    """Scan positions whose entries pass the per-entry count check,
+    recomputed vertex by vertex: at most n vertices, at least as many S
+    vertices as whites and claw centres as whites of degree 3 or more,
+    and per degree d at least as many vertices outside S with d
+    S-neighbours as blacks of degree d."""
+    rest = [v for v in range(g.n) if not smask >> v & 1]
+    s_vertices = [v for v in range(g.n) if smask >> v & 1]
+    s_degree = Counter(
+        sum(1 for u in s_vertices if g.has_edge(u, v)) for v in rest
+    )
+    claws = sum(
+        1
+        for v in s_vertices
+        if any(
+            not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c))
+            for a, b, c in combinations(
+                [u for u in rest if g.has_edge(u, v)], 3
+            )
+        )
+    )
+    out = 0
+    for i, (entry, _) in enumerate(scan.items):
+        h = entry.graph
+        hg = h.graph
+        whites = [v for v in range(hg.n) if v not in h.black]
+        need = Counter(hg.degree(b) for b in h.black)
+        if (
+            hg.n <= g.n
+            and len(whites) <= len(s_vertices)
+            and sum(hg.degree(w) >= 3 for w in whites) <= claws
+            and all(c <= s_degree[d] for d, c in need.items())
+        ):
+            out |= 1 << i
+    return out
+
+
+def test_fit_index_admits_what_the_count_check_admits(
+    class_graphs7, solver_catalog9
+):
+    scan = finders._scan_of(solver_catalog9)
+    admitted = hits = 0
+    for g in round_graphs(class_graphs7):
+        sets = maximal_sets(g, g.n)
+        sets.append(solve_mis(g, SolveConfig(), solver_catalog9).independent_set)
+        for s in sets:
+            smask = mask_of(s)
+            state = finders.round_state(g, s)
+            fit, _ = finders._admitted(scan, g, state)
+            assert fit == reference_admitted(g, smask, scan)
+            admitted += fit.bit_count()
+            # the first admitted entry that embeds, by the reference
+            # backtracker, is the one the finder returns
+            want = next(
+                (
+                    entry.code
+                    for i, (entry, _) in enumerate(scan.items)
+                    if fit >> i & 1
+                    and reference_embed_entry(g, smask, entry.graph)
+                ),
+                None,
+            )
+            got = find_from_catalog(g, s, solver_catalog9, state)
+            assert (got and got.detail) == want
+            if got is not None:
+                assert is_augmenting(g, s, got)
+                hits += 1
+    assert admitted and hits
+
+
+def test_fit_index_computes_claw_centres_only_when_needed(
+    monkeypatch, solver_catalog9
+):
+    calls = []
+    real = finders._claw_centres
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(finders, "_claw_centres", counting)
+    # T3 with S its middles: the entries still admitted have no white of
+    # degree 3 or more, so no claw centre is computed
+    t3 = subdivided_star(3)
+    mids = frozenset({1, 2, 3})
+    assert find_augmenting_path(t3, mids) is None
+    assert find_from_catalog(t3, mids, solver_catalog9) is not None
+    assert calls == []
+    # K(2,3) with S its 2-side is itself an entry with whites of degree 3
+    k23 = complete_bipartite(2, 3)
+    assert find_from_catalog(k23, {0, 1}, solver_catalog9) is not None
+    assert len(calls) == 1
+
+
+def test_round_state_classes(class_graphs7):
+    for g in round_graphs(class_graphs7):
+        for s in maximal_sets(g, g.n):
+            state = finders.round_state(g, s)
+            rest = [v for v in range(g.n) if v not in s]
+            degree = {v: sum(1 for u in s if g.has_edge(u, v)) for v in rest}
+            assert state.smask == mask_of(s)
+            assert state.rmask == mask_of(rest)
+            assert len(state.by_degree) == g.n + 3
+            for d, cls in enumerate(state.by_degree):
+                assert cls == mask_of(v for v in rest if degree[v] == d)
+            # the path finder's ends and mids are classes 1 and 2; its
+            # starts and the tree finder's centres are unions of classes
+            starts = state.by_degree[0] | state.by_degree[1]
+            assert starts == mask_of(v for v in rest if degree[v] <= 1)
+            for p in (2, 3):
+                centres = 0
+                for cls in state.by_degree[p + 2:]:
+                    centres |= cls
+                assert centres == mask_of(
+                    v for v in rest if degree[v] >= p + 2
+                )
+
+
+def test_finders_agree_with_and_without_a_round_state(
+    class_graphs7, solver_catalog9
+):
+    found = Counter()
+    graphs = round_graphs(class_graphs7) + small_star_instances()
+    for g in graphs:
+        greedy = greedy_initial(g)
+        for s in maximal_sets(g, g.n) + [greedy - {min(greedy)}]:
+            state = finders.round_state(g, s)
+            for name, finder in (
+                ("path", lambda st: find_augmenting_path(g, s, st)),
+                ("tree", lambda st: find_tree_extension(g, s, 3, st)),
+                ("catalog", lambda st: find_from_catalog(g, s, solver_catalog9, st)),
+            ):
+                got = finder(state)
+                assert got == finder(None)
+                found[name] += got is not None
+    assert all(found[name] for name in ("path", "tree", "catalog"))
+
+
+def test_finders_read_the_round_state():
+    # with every S-degree class emptied, no finder sees a candidate,
+    # though each would find one from a state of its own
+    def empty(g, s):
+        smask = mask_of(s)
+        return finders.RoundState(smask, ((1 << g.n) - 1) & ~smask, [0] * (g.n + 3))
+
+    p3 = path_graph(3)
+    assert find_augmenting_path(p3, {1}) is not None
+    assert find_augmenting_path(p3, {1}, empty(p3, {1})) is None
+    t5 = subdivided_star(5)
+    mids = frozenset(range(1, 6))
+    assert find_tree_extension(t5, mids, 3) is not None
+    assert find_tree_extension(t5, mids, 3, empty(t5, mids)) is None
+    k23 = complete_bipartite(2, 3)
+    cat = enumerate_irreducible(5)
+    assert find_from_catalog(k23, {0, 1}, cat) is not None
+    assert find_from_catalog(k23, {0, 1}, cat, empty(k23, {0, 1})) is None

@@ -28,7 +28,12 @@ from augmis import (
 from augmis.canonical import canon_code
 from augmis.graphs import MAX_VERTICES
 from augmis.enumeration import grow_graphs
-from augmis.patterns import _Compiled, all_maximal_subdivided_stars
+from augmis.patterns import (
+    _Compiled,
+    _compile,
+    _search,
+    all_maximal_subdivided_stars,
+)
 from conftest import graphs_st
 
 
@@ -142,6 +147,52 @@ def test_find_induced_embedding_is_induced():
 def test_find_induced_deterministic():
     g = cycle_graph(8)
     assert find_induced(g, Pattern("P", (5,))) == find_induced(g, Pattern("P", (5,)))
+
+
+def unpruned_find_induced(g: Graph, pat: Pattern):
+    """``find_induced`` without the twin pruning: the same plan and
+    engine, every candidate tried."""
+    plan = _compile(pat.build()).generic
+    images = [0] * len(plan.order)
+    g_deg = [m.bit_count() for m in g.adj]
+    if _search(plan, g.adj, g_deg, ((1 << g.n) - 1,), images, 0, 0):
+        return dict(zip(plan.order, images))
+    return None
+
+
+def blow_up(g: Graph, sizes, closed):
+    """Each vertex v of g replaced by sizes[v] twins, pairwise adjacent
+    where ``closed``: hosts with large twin classes."""
+    ids, start = [], 0
+    for s in sizes:
+        ids.append(range(start, start + s))
+        start += s
+    edges = [(a, b) for u, v in g.edges() for a in ids[u] for b in ids[v]]
+    if closed:
+        edges += [e for r in ids for e in combinations(r, 2)]
+    return Graph(start, edges)
+
+
+@settings(max_examples=150)
+@given(
+    graphs_st(max_n=6),
+    st.lists(st.integers(1, 3), min_size=6, max_size=6),
+    st.booleans(),
+    st.sampled_from(["P4", "S1x1x1", "K2x2", "S1x1x3", "K3x3", "C5", "T3"]),
+)
+def test_twin_pruning_returns_the_unpruned_embedding(g, sizes, closed, text):
+    host = blow_up(g, sizes[: g.n], closed)
+    pat = parse_pattern(text)
+    assert find_induced(host, pat) == unpruned_find_induced(host, pat)
+
+
+def test_twin_pruning_refutes_bicliques_at_once():
+    # K(n,n) has no induced P4, so no S(1,1,3); without the pruning the
+    # refutation tries order n^3 placements
+    g = complete_bipartite(256, 256)
+    assert find_induced(g, Pattern("S", (1, 1, 3))) is None
+    hit = find_forbidden(g, [Pattern("S", (1, 1, 3)), Pattern("K", (3, 3))])
+    assert str(hit[0]) == "K3x3"
 
 
 def test_is_free_examples():
