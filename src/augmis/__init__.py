@@ -11,11 +11,8 @@ __version__ = "0.1.0"
 
 from .graphs import (
     Graph,
-    bipartition,
     connected_components,
-    induced_subgraph,
     is_independent,
-    neighbourhood,
 )
 from .patterns import (
     Pattern,
@@ -38,11 +35,9 @@ from .irreducible import (
     SearchBudgetError,
     bicolored,
     bipartite_ramsey_search,
-    canonical_code,
     enumerate_irreducible,
     hall_surplus_check,
     is_irreducible,
-    max_bipartite_matching,
 )
 from .finders import (
     AugCandidate,

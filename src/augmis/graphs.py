@@ -19,13 +19,10 @@ __all__ = [
     "bits",
     "mask_of",
     "set_of",
-    "neighbourhood",
-    "induced_subgraph",
     "is_independent",
     "component_mask",
     "two_colouring",
     "connected_components",
-    "bipartition",
 ]
 
 # Largest vertex count a graph file, a named graph or a planted instance
@@ -147,41 +144,6 @@ def _check_vertices(g: Graph, xs: Iterable[int]) -> None:
             raise ValueError(f"vertex id {v} out of range for n={g.n}")
 
 
-def neighbourhood(g: Graph, us: Iterable[int]) -> frozenset[int]:
-    """Union of the neighbourhoods of ``us``; may intersect ``us``."""
-    us = list(us)
-    _check_vertices(g, us)
-    m = 0
-    for u in us:
-        m |= g.adj[u]
-    return set_of(m)
-
-
-def induced_subgraph(
-    g: Graph, xs: Iterable[int]
-) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced by ``xs``, relabelled densely.
-
-    Returns the subgraph and the old-id to new-id map; new ids follow
-    ascending old ids.
-    """
-    old = sorted(set(xs))
-    _check_vertices(g, old)
-    remap = {v: i for i, v in enumerate(old)}
-    masks = [0] * len(old)
-    for v in old:
-        i = remap[v]
-        rest = g.adj[v]
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            rest ^= low
-            j = remap.get(u)
-            if j is not None:
-                masks[i] |= 1 << j
-    return Graph.from_masks(len(old), masks), remap
-
-
 def is_independent(g: Graph, xs: Iterable[int]) -> bool:
     """True iff no edge of ``g`` has both endpoints in ``xs``."""
     xs = list(xs)
@@ -253,14 +215,3 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
             out.append(set_of(comp))
     return out
 
-
-def bipartition(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
-    """A proper 2-colouring, or None if some component has an odd cycle.
-
-    Canonical side choice: in each component the side containing the
-    smallest vertex id goes first.
-    """
-    sides = two_colouring(g.n, g.adj)
-    if sides is None:
-        return None
-    return set_of(sides[0]), set_of(sides[1])

@@ -8,8 +8,10 @@ comments, so equal graphs serialize to equal bytes.
 Catalogue files: ``c`` header lines recording the vertex bound, filter
 list and census, then one entry per line as ``<n> <code-hex> # <tag>``
 where the hex is the canonical code bytes (self-describing: the code
-decodes back to the graph).  The parser checks every entry and the
-census header, so a truncated or edited catalogue is rejected.
+decodes back to the graph).  Entries ascend by (n, code), the order
+``enumerate_irreducible`` gives and the catalogue finder scans in.  The
+parser checks every entry, that order and the census header, so a
+truncated, reordered or edited catalogue is rejected.
 """
 
 from __future__ import annotations
@@ -163,16 +165,18 @@ def _parse_census(fields: list[str], lineno: int) -> dict[int, int]:
 def parse_catalog(text: str) -> Catalog:
     """Parse and validate a catalogue file.
 
-    Every entry must decode, carry its canonical code, appear once, fit
-    the ``n_max`` header, be irreducible and free of the header filters,
-    and the per-size entry counts must equal the ``census`` header, so a
-    truncated, stale or hand-edited file is rejected, never used.
+    Every entry must decode, carry its canonical code, appear once,
+    follow the previous entry in ascending (n, code) order, fit the
+    ``n_max`` header, be irreducible and free of the header filters, and
+    the per-size entry counts must equal the ``census`` header, so a
+    truncated, reordered, stale or hand-edited file is rejected, never
+    used.
     """
     n_max = None
     census = None
     filters: tuple[Pattern, ...] = ()
     entries: list[tuple[int, CatalogEntry]] = []
-    seen: set[bytes] = set()
+    last: Optional[tuple[int, bytes]] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -212,9 +216,14 @@ def parse_catalog(text: str) -> Catalog:
             raise GraphFormatError("entry size disagrees with code", lineno)
         if canonical != code:
             raise GraphFormatError("catalog code is not canonical", lineno)
-        if code in seen:
-            raise GraphFormatError("duplicate catalog entry", lineno)
-        seen.add(code)
+        # strictly ascending keys are distinct, so a repeat sorts too low
+        if last is not None and (n, code) <= last:
+            if (n, code) == last:
+                raise GraphFormatError("duplicate catalog entry", lineno)
+            raise GraphFormatError(
+                "catalog entry out of ascending (n, code) order", lineno
+            )
+        last = (n, code)
         entries.append((lineno, CatalogEntry(code, h)))
     if n_max is None:
         raise GraphFormatError("catalog header missing n_max")

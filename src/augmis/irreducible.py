@@ -23,10 +23,8 @@ from .patterns import Pattern
 __all__ = [
     "ColoredBipartite",
     "bicolored",
-    "max_bipartite_matching",
     "hall_surplus_check",
     "is_irreducible",
-    "canonical_code",
     "CatalogEntry",
     "Catalog",
     "enumerate_irreducible",
@@ -84,17 +82,9 @@ def bicolored(
     )
 
 
-def max_bipartite_matching(h: ColoredBipartite) -> frozenset[tuple[int, int]]:
-    """A maximum matching as (white, black) pairs; deterministic."""
-    return _kuhn(h.graph.adj, sorted(h.white), h.black)
-
-
-def _kuhn(
-    adj: Sequence[int],
-    whites: Sequence[int],
-    black_set: Iterable[int],
-    banned: int = 0,
-) -> frozenset[tuple[int, int]]:
+def _matching_size(adj: Sequence[int], whites: Sequence[int], banned: int) -> int:
+    """Size of a maximum matching of ``whites`` into their neighbours
+    outside ``banned``, by Kuhn's augmenting paths."""
     match_of: dict[int, int] = {}  # black -> white
 
     def try_assign(w: int, visited: set[int]) -> bool:
@@ -109,8 +99,7 @@ def _kuhn(
 
     for w in whites:
         try_assign(w, set())
-    blacks = set(black_set)
-    return frozenset((w, b) for b, w in match_of.items() if b in blacks)
+    return len(match_of)
 
 
 def hall_surplus_check(h: ColoredBipartite) -> bool:
@@ -127,7 +116,7 @@ def hall_surplus_check(h: ColoredBipartite) -> bool:
     adj = h.graph.adj
     need = len(whites)
     for b in sorted(h.black):
-        if len(_kuhn(adj, whites, h.black, banned=1 << b)) < need:
+        if _matching_size(adj, whites, 1 << b) < need:
             return False
     return True
 
@@ -139,15 +128,6 @@ def is_irreducible(h: ColoredBipartite) -> bool:
     if len(connected_components(h.graph)) > 1:
         return False
     return hall_surplus_check(h)
-
-
-def canonical_code(h: ColoredBipartite) -> bytes:
-    """Colour-respecting canonical certificate; decodable."""
-    if h.graph.n > MAX_ENUM_VERTICES:
-        raise ValueError(
-            f"canonical_code supports at most {MAX_ENUM_VERTICES} vertices"
-        )
-    return canon_code(h.graph.n, h.graph.adj, h.colors())
 
 
 def decode_catalog_code(code: bytes) -> ColoredBipartite:

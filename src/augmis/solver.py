@@ -13,6 +13,7 @@ small sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib import resources
 from typing import Iterable, NamedTuple, Optional
 
 from .finders import (
@@ -24,6 +25,7 @@ from .finders import (
     round_state,
 )
 from .graphs import Graph, bits, is_independent, set_of
+from .io import GraphFormatError, parse_catalog
 from .irreducible import Catalog, enumerate_irreducible
 from .patterns import Pattern, class_patterns, is_free
 
@@ -98,12 +100,16 @@ def _default_filters(p: int) -> tuple[Pattern, ...]:
 
 # Per-size census of the default catalogue for each class parameter p the
 # package ships with, frozen up to the bound it was enumerated at; a
-# smaller bound reads a prefix.  Irreducible graphs have one more black
-# than white, so every size is odd.
+# smaller bound reads a prefix.  Each row guards the packaged file
+# ``data/catalog-p<p>-n<bound>.txt``, which ``default_catalog`` reads
+# instead of enumerating.  Irreducible graphs have one more black than
+# white, so every size is odd.
 DEFAULT_CATALOG_CENSUS: dict[int, tuple[int, dict[int, int]]] = {
     2: (9, {1: 1, 3: 1, 5: 1, 7: 3, 9: 6}),
     3: (9, {1: 1, 3: 1, 5: 3, 7: 17, 9: 213}),
 }
+
+_CATALOG_DATA = resources.files(__package__) / "data"
 
 
 def catalog_covers(cat: Catalog, cfg: SolveConfig) -> bool:
@@ -134,20 +140,56 @@ def catalog_covers(cat: Catalog, cfg: SolveConfig) -> bool:
     return census == want
 
 
+def _packaged_catalog(p: int) -> Catalog:
+    """The packaged default catalogue for ``p``, checked against its row.
+
+    ``parse_catalog`` checks every entry and the census header; on top,
+    the header's bound and filters must be the row's bound and
+    ``_default_filters(p)``, and the census the frozen row.  A file that
+    fails a check raises ``GraphFormatError``.
+    """
+    bound, census = DEFAULT_CATALOG_CENSUS[p]
+    name = f"catalog-p{p}-n{bound}.txt"
+    cat = parse_catalog((_CATALOG_DATA / name).read_text(encoding="ascii"))
+    if cat.max_vertices != bound or cat.filters != _default_filters(p):
+        raise GraphFormatError(
+            f"packaged catalogue {name} is not the default one for p = {p}"
+        )
+    if cat.census() != census:
+        raise GraphFormatError(
+            f"packaged catalogue {name} disagrees with the frozen census"
+        )
+    return cat
+
+
 def default_catalog(cfg: SolveConfig) -> Catalog:
     """Catalogue of irreducible graphs the solver needs for ``cfg``.
 
     Its filters exclude the two shapes the other finders already cover
     (long paths via P(8), large star extensions via T(p+2)) plus the class
-    biclique K(p,p).  Results are memoised per process; to reuse a
-    catalogue across runs, write it with ``atlas --out`` and pass it to
-    ``solve --catalog``.
+    biclique K(p,p).  For a p with a ``DEFAULT_CATALOG_CENSUS`` row and a
+    bound within the row's, it is read from the packaged file, validated
+    (see ``_packaged_catalog``) and cut to the entries within the bound:
+    entries ascend by vertex count and no level depends on the bound, so
+    that prefix is what ``enumerate_irreducible`` returns.  A file that
+    fails a check raises; nothing falls back to enumeration.  Any other
+    (p, bound) is enumerated.  Results are memoised per process.
     """
+    n_max = cfg.catalog_n_max
     filters = _default_filters(cfg.p)
-    key = (cfg.catalog_n_max, filters)
+    key = (n_max, filters)
     cat = _CATALOG_MEMO.get(key)
     if cat is None:
-        cat = _CATALOG_MEMO[key] = enumerate_irreducible(cfg.catalog_n_max, filters)
+        row = DEFAULT_CATALOG_CENSUS.get(cfg.p)
+        if row is None or n_max > row[0]:
+            cat = enumerate_irreducible(n_max, filters)
+        elif n_max == row[0]:
+            cat = _packaged_catalog(cfg.p)
+        else:
+            full = default_catalog(SolveConfig(cfg.p, row[0]))
+            prefix = tuple(e for e in full.entries if e.graph.graph.n <= n_max)
+            cat = Catalog(n_max, filters, prefix)
+        _CATALOG_MEMO[key] = cat
     return cat
 
 

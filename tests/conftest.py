@@ -3,6 +3,8 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from augmis import Graph, Pattern, enumerate_irreducible
+from augmis.canonical import canon_code
+from augmis.graphs import set_of, two_colouring
 
 settings.register_profile(
     "augmis",
@@ -26,6 +28,63 @@ def graphs_st(draw, min_n: int = 1, max_n: int = 9):
                 edges.append((u, v))
             k += 1
     return Graph(n, edges)
+
+
+# -- oracles the tests share --------------------------------------------
+
+
+def neighbourhood(g, us):
+    """Union of the neighbourhoods of ``us``; may intersect ``us``."""
+    out = set()
+    for u in us:
+        if not 0 <= u < g.n:
+            raise ValueError(f"vertex id {u} out of range for n={g.n}")
+        out.update(g.neighbors(u))
+    return frozenset(out)
+
+
+def induced_subgraph(g, xs):
+    """Subgraph induced by ``xs``, relabelled densely by ascending old id,
+    and the old-id to new-id map."""
+    old = sorted(set(xs))
+    remap = {v: i for i, v in enumerate(old)}
+    edges = [
+        (remap[u], remap[v]) for u, v in g.edges() if u in remap and v in remap
+    ]
+    return Graph(len(old), edges), remap
+
+
+def bipartition(g):
+    """``two_colouring`` as vertex sets: per component, the side holding
+    the smallest id comes first; None on an odd cycle."""
+    sides = two_colouring(g.n, g.adj)
+    if sides is None:
+        return None
+    return set_of(sides[0]), set_of(sides[1])
+
+
+def max_bipartite_matching(h):
+    """A maximum matching of a ColoredBipartite as (white, black) pairs,
+    by augmenting paths from each white in turn."""
+    match_of = {}  # black -> white
+
+    def assign(w, visited):
+        for b in h.graph.neighbors(w):
+            if b not in visited:
+                visited.add(b)
+                if b not in match_of or assign(match_of[b], visited):
+                    match_of[b] = w
+                    return True
+        return False
+
+    for w in sorted(h.white):
+        assign(w, set())
+    return frozenset((w, b) for b, w in match_of.items())
+
+
+def canonical_code(h):
+    """The colour-respecting canonical code a catalogue stores for ``h``."""
+    return canon_code(h.graph.n, h.graph.adj, h.colors())
 
 
 def petersen() -> Graph:

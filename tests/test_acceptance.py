@@ -20,7 +20,6 @@ from augmis import (
     SolveConfig,
     augment,
     bipartite_ramsey_search,
-    bipartition,
     brute_force_mis,
     class_patterns,
     cycle_graph,
@@ -32,7 +31,6 @@ from augmis import (
     is_irreducible,
     line_graph,
     max_matching_size,
-    neighbourhood,
     path_graph,
     plant_augmenting_tree,
     solve_mis,
@@ -46,6 +44,7 @@ from augmis.verify import (
     verify_path_or_cycle,
     verify_star_anatomy,
 )
+from conftest import bipartition, neighbourhood
 
 pytestmark = pytest.mark.acceptance
 

@@ -35,7 +35,6 @@ from augmis import (
     find_tree_extension,
     gen_free_random,
     greedy_initial,
-    induced_subgraph,
     is_augmenting,
     line_graph,
     path_graph,
@@ -50,7 +49,7 @@ from augmis.enumeration import grow_graphs
 from augmis.irreducible import Catalog
 from augmis.graphs import bits, mask_of, set_of
 from augmis.solver import SolveConfig, class_patterns
-from conftest import graphs_st
+from conftest import graphs_st, induced_subgraph
 
 
 def is_path_shape(g: Graph) -> bool:

@@ -4,18 +4,15 @@ from hypothesis import strategies as st
 
 from augmis import (
     Graph,
-    bipartition,
     complete_bipartite,
     complete_graph,
     connected_components,
     cycle_graph,
-    induced_subgraph,
     is_independent,
-    neighbourhood,
     path_graph,
 )
 from augmis.graphs import component_mask, two_colouring
-from conftest import graphs_st
+from conftest import bipartition, graphs_st, induced_subgraph, neighbourhood
 
 
 def test_construction_rejects_self_loops_and_bad_ids():

@@ -19,6 +19,7 @@ from augmis.io import (
     write_catalog,
     write_graph,
 )
+from augmis.solver import _CATALOG_DATA, _default_filters
 from conftest import graphs_st
 
 
@@ -140,6 +141,37 @@ def test_catalog_rejects_duplicate_entries():
     with pytest.raises(GraphFormatError, match="duplicate") as err:
         parse_catalog(text)
     assert err.value.line == len(text.splitlines())
+
+
+def test_catalog_rejects_entries_out_of_order():
+    text = format_catalog(enumerate_irreducible(5))
+    lines = text.splitlines(keepends=True)
+    # header lines 1-4, then n1, n3 and the three 5-vertex entries
+    assert [line.split()[0] for line in lines[4:]] == ["1", "3", "5", "5", "5"]
+    swapped = lines[:6] + [lines[7], lines[6], lines[8]]
+    with pytest.raises(GraphFormatError, match="order") as err:
+        parse_catalog("".join(swapped))
+    assert err.value.line == 8
+    # a smaller graph after a larger one
+    moved = lines[:4] + lines[5:] + [lines[4]]
+    with pytest.raises(GraphFormatError, match="order") as err:
+        parse_catalog("".join(moved))
+    assert err.value.line == 9
+    # a repeat further back is out of order too
+    again = lines + [lines[6]]
+    again[3] = "c census 1:1 3:1 5:4\n"
+    with pytest.raises(GraphFormatError, match="order") as err:
+        parse_catalog("".join(again))
+    assert err.value.line == 10
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_packaged_catalog_is_the_enumeration(p, solver_catalog9):
+    # the exact bytes atlas --n-max 9 --filters P8,T<p+2>,K<p>x<p> writes
+    cat = solver_catalog9 if p == 3 else enumerate_irreducible(9, _default_filters(p))
+    assert cat.filters == _default_filters(p)
+    packaged = (_CATALOG_DATA / f"catalog-p{p}-n9.txt").read_bytes()
+    assert packaged == format_catalog(cat).encode("ascii")
 
 
 def test_catalog_rejects_entries_above_n_max():

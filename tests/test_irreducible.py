@@ -14,16 +14,12 @@ from augmis import (
     Graph,
     Pattern,
     bicolored,
-    bipartition,
     bipartite_ramsey_search,
-    canonical_code,
     cycle_graph,
     enumerate_irreducible,
     hall_surplus_check,
     is_free,
     is_irreducible,
-    max_bipartite_matching,
-    neighbourhood,
     path_graph,
     subdivided_star,
     verify_min_classes,
@@ -31,6 +27,12 @@ from augmis import (
 from augmis.enumeration import grow_bicolored_raw
 from augmis.graphs import connected_components
 from augmis.irreducible import SearchBudgetError, decode_catalog_code
+from conftest import (
+    bipartition,
+    canonical_code,
+    max_bipartite_matching,
+    neighbourhood,
+)
 
 
 def alternately_colored_path(n, black_even=True):

@@ -34,7 +34,7 @@ from augmis.patterns import (
     _search,
     all_maximal_subdivided_stars,
 )
-from conftest import graphs_st
+from conftest import graphs_st, induced_subgraph
 
 
 def brute_isomorphic(a: Graph, b: Graph) -> bool:
@@ -51,8 +51,6 @@ def brute_isomorphic(a: Graph, b: Graph) -> bool:
 
 
 def oracle_contains_induced(g: Graph, p: Graph) -> bool:
-    from augmis import induced_subgraph
-
     for sub in combinations(range(g.n), p.n):
         got, _ = induced_subgraph(g, sub)
         if got.num_edges == p.num_edges and brute_isomorphic(got, p):

@@ -26,9 +26,14 @@ from augmis import (
     solve_mis,
 )
 from augmis.enumeration import grow_graphs
-from augmis.io import write_catalog
+from augmis.io import GraphFormatError, write_catalog
 from augmis.irreducible import Catalog
-from augmis.solver import DEFAULT_CATALOG_CENSUS, _default_filters, catalog_covers
+from augmis.solver import (
+    _CATALOG_DATA,
+    DEFAULT_CATALOG_CENSUS,
+    _default_filters,
+    catalog_covers,
+)
 from conftest import graphs_st, path_greedy_takes_odd_positions, petersen
 
 
@@ -190,6 +195,115 @@ def test_default_catalog_reads_and_writes_no_files(
     assert solve_mis(path_graph(5), cfg).alpha == 3
     assert os.listdir(tmp_path) == [path.name]
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_default_catalog_is_the_enumeration_at_every_packaged_bound(
+    p, monkeypatch, solver_catalog9
+):
+    import augmis.solver as solver_mod
+
+    def no_enumeration(*args):
+        raise AssertionError("enumerated a packaged catalogue")
+
+    monkeypatch.setattr(solver_mod, "_CATALOG_MEMO", {})
+    monkeypatch.setattr(solver_mod, "enumerate_irreducible", no_enumeration)
+    filters = _default_filters(p)
+    for bound in (3, 5, 7, 9):
+        if p == 3 and bound == 9:
+            want = solver_catalog9
+        else:
+            want = enumerate_irreducible(bound, filters)
+        got = default_catalog(SolveConfig(p, bound))
+        assert got == want and got.max_vertices == bound
+        assert default_catalog(SolveConfig(p, bound)) is got
+
+
+def test_default_catalog_enumerates_beyond_the_packaged_rows(
+    tmp_path, monkeypatch
+):
+    import augmis.solver as solver_mod
+
+    calls = []
+
+    def recording(n_max, filters):
+        calls.append((n_max, filters))
+        return Catalog(n_max, filters, ())
+
+    # no packaged file is readable: these bounds must not need one
+    monkeypatch.setattr(solver_mod, "_CATALOG_DATA", tmp_path)
+    monkeypatch.setattr(solver_mod, "_CATALOG_MEMO", {})
+    monkeypatch.setattr(solver_mod, "enumerate_irreducible", recording)
+    for p in (2, 3):
+        default_catalog(SolveConfig(p, 11))
+    default_catalog(SolveConfig(4, 7))
+    assert calls == [
+        (11, _default_filters(2)),
+        (11, _default_filters(3)),
+        (7, _default_filters(4)),
+    ]
+    # and p = 4 gets the real enumeration
+    monkeypatch.undo()
+    monkeypatch.setattr(solver_mod, "_CATALOG_MEMO", {})
+    assert default_catalog(SolveConfig(4, 7)) == enumerate_irreducible(
+        7, _default_filters(4)
+    )
+
+
+def _edited_packaged_file(text):
+    lines = text.splitlines(keepends=True)
+    entries = [i for i, line in enumerate(lines) if not line.startswith("c")]
+    census = next(i for i, line in enumerate(lines) if line.startswith("c census"))
+    # two 9-vertex entries swapped
+    reordered = list(lines)
+    a, b = entries[-2], entries[-1]
+    reordered[a], reordered[b] = reordered[b], reordered[a]
+    # the last entry dropped, its census header made to agree
+    short = lines[:-1]
+    short[census] = short[census].replace("9:213", "9:212")
+    # each edit with the message that rejects it
+    return {
+        "truncated": ("".join(lines[:-1]), "disagrees with the entries"),
+        "truncated, census header edited to agree": (
+            "".join(short), "frozen census"
+        ),
+        "reordered": ("".join(reordered), "order"),
+        "filters header without K3x3": (
+            text.replace("c filters P8,T5,K3x3", "c filters P8,T5"),
+            "not the default",
+        ),
+        "n_max header raised": (
+            text.replace("c n_max 9", "c n_max 11"), "not the default"
+        ),
+        "census header edited": (
+            text.replace("9:213", "9:214"), "disagrees with the entries"
+        ),
+    }
+
+
+def test_default_catalog_rejects_a_bad_packaged_file(tmp_path, monkeypatch):
+    import augmis.solver as solver_mod
+
+    name = "catalog-p3-n9.txt"
+    text = (_CATALOG_DATA / name).read_text(encoding="ascii")
+    monkeypatch.setattr(solver_mod, "_CATALOG_DATA", tmp_path)
+    for how, (bad, match) in _edited_packaged_file(text).items():
+        assert bad != text, how
+        (tmp_path / name).write_text(bad, encoding="ascii")
+        for bound in (5, 9):
+            monkeypatch.setattr(solver_mod, "_CATALOG_MEMO", {})
+            with pytest.raises(GraphFormatError, match=match):
+                default_catalog(SolveConfig(3, bound))
+            assert solver_mod._CATALOG_MEMO == {}, how
+    # the unedited text in the same place is accepted
+    (tmp_path / name).write_text(text, encoding="ascii")
+    monkeypatch.setattr(solver_mod, "_CATALOG_MEMO", {})
+    assert len(default_catalog(SolveConfig())) == 235
+    # a missing file raises too
+    (tmp_path / name).unlink()
+    monkeypatch.setattr(solver_mod, "_CATALOG_MEMO", {})
+    with pytest.raises(FileNotFoundError):
+        default_catalog(SolveConfig())
 
 
 def test_catalog_covers_bound_and_filters(solver_catalog9, unfiltered_catalog9):
