@@ -7,7 +7,11 @@ a black inside S is one of the whites.  Three finders cover the three
 shapes a minimal augmenting subgraph can take in the target graph class:
 alternating chordless paths of even length, extensions of subdivided
 stars, and members of a finite catalogue.  All three read the S-degree
-classes of one ``RoundState``, which ``solve_mis`` builds once per round.
+classes of one ``RoundState``, which ``solve_mis`` builds each round from
+its bitmask of S.  ``solve_mis`` gives each candidate one verdict,
+``augments``, on masks, before it applies it, so the path and catalogue
+finders return what they find unchecked; the star finder filters its
+scan with the same verdict.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import or_
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .graphs import Graph, bits, is_independent, mask_of, set_of
 from .irreducible import Catalog, CatalogEntry
@@ -28,6 +32,7 @@ __all__ = [
     "AugCandidate",
     "RoundState",
     "round_state",
+    "augments",
     "is_augmenting",
     "find_augmenting_path",
     "find_tree_extension",
@@ -58,15 +63,44 @@ class RoundState(NamedTuple):
     by_degree: list[int]
 
 
-def round_state(g: Graph, s: Iterable[int]) -> RoundState:
+# An independent set S, as vertex ids or as a bitmask.
+VertexSet = Union[int, Iterable[int]]
+
+
+def round_state(g: Graph, s: VertexSet) -> RoundState:
     """The round state of ``g`` and the independent set ``s``."""
-    smask = mask_of(s)
+    smask = s if isinstance(s, int) else mask_of(s)
     rmask = ((1 << g.n) - 1) & ~smask
     adj = g.adj
     by_degree = [0] * (g.n + 3)
-    for v in bits(rmask):
-        by_degree[(adj[v] & smask).bit_count()] |= 1 << v
+    rest = rmask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        by_degree[(adj[low.bit_length() - 1] & smask).bit_count()] |= low
     return RoundState(smask, rmask, by_degree)
+
+
+def augments(adj: tuple[int, ...], smask: int, wmask: int, bmask: int) -> bool:
+    """Verdict on a candidate given as masks over the graph ``adj``.
+
+    True iff the whites lie inside S, the blacks outside S and within
+    the graph, there are more blacks than whites, the blacks are
+    independent, and no black has a neighbour in S outside the whites;
+    then (S - whites) + blacks is independent and larger than S.
+    """
+    if wmask & ~smask or bmask & smask or bmask >> len(adj):
+        return False
+    if bmask.bit_count() <= wmask.bit_count():
+        return False
+    banned = bmask | (smask & ~wmask)
+    rest = bmask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if adj[low.bit_length() - 1] & banned:
+            return False
+    return True
 
 
 def is_augmenting(g: Graph, s: Iterable[int], cand: AugCandidate) -> bool:
@@ -96,7 +130,7 @@ def is_augmenting(g: Graph, s: Iterable[int], cand: AugCandidate) -> bool:
 
 
 def find_augmenting_path(
-    g: Graph, s: Iterable[int], state: Optional[RoundState] = None
+    g: Graph, s: VertexSet, state: Optional[RoundState] = None
 ) -> Optional[AugCandidate]:
     """An augmenting chordless alternating path, or None.
 
@@ -117,9 +151,10 @@ def find_augmenting_path(
     DFS order is unchanged, so the path returned is the one the unpruned
     search finds first.
 
-    ``state`` is the round state of (g, s); it is built here when absent.
+    ``s`` is S, as vertex ids or as a bitmask.  ``state`` is the round
+    state of (g, S); when it is given, S is read from it, and when it is
+    absent it is built here.
     """
-    s = frozenset(s)
     if state is None:
         state = round_state(g, s)
     smask, rmask, by_degree = state
@@ -139,8 +174,11 @@ def find_augmenting_path(
             if nbs & ends:
                 return True
             free_b &= ~nbs
-            for b in bits(nbs & mids):
-                nxt = adj[b] & free_w
+            nbs &= mids
+            while nbs:
+                low = nbs & -nbs
+                nbs ^= low
+                nxt = adj[low.bit_length() - 1] & free_w
                 todo |= nxt
                 free_w &= ~nxt
         return False
@@ -149,7 +187,7 @@ def find_augmenting_path(
     # recursion limit.  A frame holds the blacks still to try as the next
     # path black, least first, and the path before it: its whites, its
     # blacks, the vertices adjacent to a path black and to a path white,
-    # and its vertex order.
+    # and its vertex order, blacks at the even positions.
     stack = [(starts, 0, 0, 0, 0, ())] if starts else []
     while stack:
         todo, wmask, bmask, bnbr, wnbr, order = stack.pop()
@@ -161,12 +199,10 @@ def find_augmenting_path(
         bnbr |= adj[cur]
         pending = adj[cur] & smask & ~wmask
         if pending == 0:
-            cand = AugCandidate(
-                set_of(wmask), set_of(bmask), "path", detail=order + (cur,)
+            order += (cur,)
+            return AugCandidate(
+                frozenset(order[1::2]), frozenset(order[::2]), "path", detail=order
             )
-            if __debug__:
-                assert is_augmenting(g, s, cand)
-            return cand
         if pending & (pending - 1):
             continue  # two S-neighbours off the path: unfixable
         w = pending.bit_length() - 1
@@ -186,7 +222,7 @@ def find_augmenting_path(
 
 
 def find_tree_extension(
-    g: Graph, s: Iterable[int], p: int, state: Optional[RoundState] = None
+    g: Graph, s: VertexSet, p: int, state: Optional[RoundState] = None
 ) -> Optional[AugCandidate]:
     """An augmenting extension of a subdivided star, or None.
 
@@ -201,13 +237,13 @@ def find_tree_extension(
 
     On inputs from the target class the chosen leaves are automatically
     independent; if they are not, the graph is outside the class and the
-    scan continues.
+    scan continues.  Each triple's candidate is judged by ``augments``,
+    the verdict ``solve_mis`` gives what it applies.
 
-    ``state`` is the round state of (g, s); it is built here when absent.
+    ``s`` and ``state`` are as in ``find_augmenting_path``.
     """
     if p < 2:
         raise ValueError("class parameter p must be at least 2")
-    s = frozenset(s)
     if state is None:
         state = round_state(g, s)
     smask, rmask, by_degree = state
@@ -250,13 +286,12 @@ def find_tree_extension(
                     )
                     if leaves is None:
                         continue
-                    whites = set_of(a0 | q1mask)
-                    blacks = (
-                        frozenset([u]) | frozenset(leaves) | set_of(q2mask)
-                    )
-                    result = AugCandidate(whites, blacks, "tree_extension")
-                    if is_augmenting(g, s, result):
-                        return result
+                    wmask = a0 | q1mask
+                    bmask = (1 << u) | mask_of(leaves) | q2mask
+                    if augments(adj, smask, wmask, bmask):
+                        return AugCandidate(
+                            set_of(wmask), set_of(bmask), "tree_extension"
+                        )
     return None
 
 
@@ -291,7 +326,7 @@ def _pick_leaves(
 
 
 def find_from_catalog(
-    g: Graph, s: Iterable[int], catalog: Catalog, state: Optional[RoundState] = None
+    g: Graph, s: VertexSet, catalog: Catalog, state: Optional[RoundState] = None
 ) -> Optional[AugCandidate]:
     """First catalogue entry that is not a path and embeds as an
     augmenting subgraph.
@@ -332,9 +367,8 @@ def find_from_catalog(
     The compiled scan and its index are kept for the catalogue object's
     lifetime.
 
-    ``state`` is the round state of (g, s); it is built here when absent.
+    ``s`` and ``state`` are as in ``find_augmenting_path``.
     """
-    s = frozenset(s)
     if state is None:
         state = round_state(g, s)
     scan = _scan_of(catalog)
@@ -353,15 +387,12 @@ def find_from_catalog(
             continue
         h = entry.graph
         emb = dict(zip(plan.order, images))
-        cand = AugCandidate(
+        return AugCandidate(
             frozenset(emb[w] for w in h.white),
             frozenset(emb[b] for b in h.black),
             "catalog",
             detail=entry.code,
         )
-        if __debug__:
-            assert is_augmenting(g, s, cand)
-        return cand
     return None
 
 
@@ -449,14 +480,19 @@ def _claw_centres(adj: tuple[int, ...], smask: int, rmask: int) -> int:
     """The vertices of S with an independent triple among their
     neighbours outside S."""
     out = 0
-    for v in bits(smask):
-        xs = adj[v] & rmask
+    rest = smask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        xs = adj[low.bit_length() - 1] & rmask
         if xs.bit_count() >= 3 and _has_independent_triple(adj, xs):
-            out |= 1 << v
+            out |= low
     return out
 
 
 def _has_independent_triple(adj: tuple[int, ...], xs: int) -> bool:
+    if _two_cliques(adj, xs):
+        return False
     while xs:
         a = xs.bit_length() - 1
         xs ^= 1 << a
@@ -467,6 +503,30 @@ def _has_independent_triple(adj: tuple[int, ...], xs: int) -> bool:
             if pairs & ~adj[b]:
                 return True
     return False
+
+
+def _two_cliques(adj: tuple[int, ...], xs: int) -> bool:
+    """True iff ``xs`` splits into two cliques, so that it holds no
+    independent triple.  The complement of G[xs] is 2-coloured breadth
+    first, a layer at a time: the next layer is what lies outside the
+    common closed neighbourhood of the layer, and a layer that is not a
+    clique closes an odd cycle of the complement.  Every neighbourhood in a
+    line graph is two cliques, so there no pair is searched."""
+    left = xs
+    while left:
+        layer = left & -left
+        while layer:
+            left &= ~layer
+            common = xs
+            rest = layer
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                common &= adj[low.bit_length() - 1] | low
+            if layer & ~common:
+                return False
+            layer = left & ~common
+    return True
 
 
 def _compile_entry(entry: CatalogEntry) -> tuple[_Plan, Counter]:

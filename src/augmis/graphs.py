@@ -149,8 +149,9 @@ def is_independent(g: Graph, xs: Iterable[int]) -> bool:
     xs = list(xs)
     _check_vertices(g, xs)
     m = mask_of(xs)
-    for v in bits(m):
-        if g.adj[v] & m:
+    adj = g.adj
+    for v in xs:
+        if adj[v] & m:
             return False
     return True
 

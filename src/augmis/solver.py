@@ -2,8 +2,10 @@
 
 The solver starts from a greedy maximal set and repeatedly applies
 augmentations found by the path, star-extension and catalogue finders,
-in that order, until all three miss.  Each augmentation grows the set by
-at least one vertex, so at most |V| iterations run.  The output is
+in that order, until all three miss.  After each one it adds the
+vertices left with no neighbour in the set, so the set is maximal at
+the start of every round.  Each augmentation grows the set by at least
+one vertex, so at most |V| iterations run.  The output is
 always independent; it is maximum on graphs from the target class
 whenever the catalogue bound covers every irreducible augmenting graph
 the instance can contain, which the test suite certifies exhaustively at
@@ -18,13 +20,14 @@ from typing import Iterable, NamedTuple, Optional
 
 from .finders import (
     AugCandidate,
+    augments,
     find_augmenting_path,
     find_from_catalog,
     find_tree_extension,
     is_augmenting,
     round_state,
 )
-from .graphs import Graph, bits, is_independent, set_of
+from .graphs import Graph, bits, is_independent, mask_of, set_of
 from .io import GraphFormatError, parse_catalog
 from .irreducible import Catalog, enumerate_irreducible
 from .patterns import Pattern, class_patterns, is_free
@@ -63,6 +66,9 @@ class SolveConfig:
             raise ValueError("catalog bound must be at least 3")
 
 
+_DEFAULT_CONFIG = SolveConfig()
+
+
 @dataclass(frozen=True)
 class SolveResult:
     independent_set: frozenset[int]
@@ -73,11 +79,15 @@ class SolveResult:
 
 def greedy_initial(g: Graph) -> frozenset[int]:
     """Maximal independent set by ascending-id greedy."""
+    return set_of(_greedy_mask(g.adj))
+
+
+def _greedy_mask(adj: tuple[int, ...]) -> int:
     taken = 0
-    for v in range(g.n):
-        if not g.adj[v] & taken:
+    for v, nbrs in enumerate(adj):
+        if not nbrs & taken:
             taken |= 1 << v
-    return set_of(taken)
+    return taken
 
 
 def augment(g: Graph, s: Iterable[int], cand: AugCandidate) -> frozenset[int]:
@@ -200,42 +210,72 @@ def solve_mis(
 ) -> SolveResult:
     """Maximum independent set by iterated augmentation.
 
-    Each round builds one ``RoundState`` of the current set and runs the
+    S is kept as one bitmask from the greedy start to the return.  Each
+    round builds the ``RoundState`` of S from that mask and runs the
     path, star-extension and catalogue finders on it, in that order.
     Each finder owns one shape: ``find_from_catalog`` leaves
     the path entries to ``find_augmenting_path``, an exhaustive search
     that has missed on the same set before the catalogue runs, so the
     result is the one a scan of the whole catalogue gives.
 
+    The candidate found gets one verdict, ``finders.augments``, before it
+    is applied; one that does not augment S raises ``ValueError``.  After
+    each augmentation a sweep adds, in ascending id, every vertex left
+    with no neighbour in S: these are the one-vertex augmentations, and
+    ``iterations`` does not count them, only the augmentations the
+    finders found.  The returned set is checked independent once more.
+
     Inputs outside the class are solved best effort: the output is still
     a valid independent set.  ``find_forbidden(g, class_patterns(p))``
     tells whether ``g`` lies in the class.
     """
-    cfg = cfg or SolveConfig()
+    if cfg is None:
+        cfg = _DEFAULT_CONFIG
     if catalog is None:
         catalog = default_catalog(cfg)
 
-    s = greedy_initial(g)
+    adj = g.adj
+    smask = _greedy_mask(adj)
     hits = {"path": 0, "tree": 0, "catalog": 0}
     iterations = 0
     while True:
-        state = round_state(g, s)
+        state = round_state(g, smask)
         name = "path"
-        cand = find_augmenting_path(g, s, state)
+        cand = find_augmenting_path(g, smask, state)
         if cand is None:
             name = "tree"
-            cand = find_tree_extension(g, s, cfg.p, state)
+            cand = find_tree_extension(g, smask, cfg.p, state)
         if cand is None:
             name = "catalog"
-            cand = find_from_catalog(g, s, catalog, state)
+            cand = find_from_catalog(g, smask, catalog, state)
         if cand is None:
             break
+        wmask = mask_of(cand.whites)
+        bmask = mask_of(cand.blacks)
+        if not augments(adj, smask, wmask, bmask):
+            raise ValueError(f"the {name} finder's candidate does not augment S")
         hits[name] += 1
-        s = augment(g, s, cand)
+        smask = smask & ~wmask | bmask
         iterations += 1
         if iterations > g.n:
             raise RuntimeError("augmentation loop exceeded |V| iterations")
-    return SolveResult(s, len(s), iterations, hits)
+        # S was maximal, so a vertex left with no S-neighbour is a white
+        # or a neighbour of one
+        freed = wmask
+        while wmask:
+            low = wmask & -wmask
+            wmask ^= low
+            freed |= adj[low.bit_length() - 1]
+        freed &= ~smask
+        while freed:
+            low = freed & -freed
+            freed ^= low
+            if not adj[low.bit_length() - 1] & smask:
+                smask |= low
+    out = set_of(smask)
+    if not is_independent(g, out):
+        raise RuntimeError("augmentation produced a dependent set")
+    return SolveResult(out, len(out), iterations, hits)
 
 
 class MisResult(NamedTuple):
@@ -284,19 +324,24 @@ def brute_force_mis(g: Graph) -> MisResult:
         return out
 
     full = (1 << g.n) - 1
-    total = alpha_of(full)
     witness = []
-    work = full
-    remaining = total
-    for v in range(g.n):
-        b = 1 << v
-        if not work & b:
-            continue
-        taken = work & ~adj[v] & ~b
-        if 1 + alpha_of(taken) == remaining:
-            witness.append(v)
-            work = taken
-            remaining -= 1
-        else:
-            work &= ~b
+    try:
+        total = alpha_of(full)
+        work = full
+        remaining = total
+        for v in range(g.n):
+            b = 1 << v
+            if not work & b:
+                continue
+            taken = work & ~adj[v] & ~b
+            if 1 + alpha_of(taken) == remaining:
+                witness.append(v)
+                work = taken
+                remaining -= 1
+            else:
+                work &= ~b
+    finally:
+        # alpha_of refers to itself through its closure cell, so the memo
+        # would otherwise live until the cyclic collector runs
+        memo.clear()
     return MisResult(total, frozenset(witness))

@@ -120,6 +120,42 @@ def test_is_augmenting_precondition_errors():
         is_augmenting(p3, {1}, AugCandidate(frozenset({1}), frozenset({1}), "x"))
 
 
+def test_mask_verdict_matches_is_augmenting(class_graphs7):
+    # seeded random candidates over class graphs and random class-free
+    # graphs, on maximal sets and on sets with free vertices; half of the
+    # draws take blacks only from vertices with no S-neighbour outside
+    # the whites, so both verdicts occur often.  Candidates that break a
+    # precondition of is_augmenting are covered in test_solver.
+    rnd = random.Random(13)
+    class_pats = [Pattern("S", (1, 1, 3)), Pattern("K", (3, 3))]
+    graphs = class_graphs7[::9] + [
+        gen_free_random(n, 0.3, class_pats, 10 * n + seed)
+        for n in range(8, 15)
+        for seed in range(3)
+    ]
+    verdicts = Counter()
+    for g in graphs:
+        sets = []
+        for s in maximal_sets(g, g.n):
+            sets += [s, s - set(rnd.sample(sorted(s), min(2, len(s))))]
+        for s in sets:
+            smask = mask_of(s)
+            rest = [v for v in range(g.n) if not smask >> v & 1]
+            for _ in range(20):
+                whites = rnd.sample(sorted(s), rnd.randint(0, min(3, len(s))))
+                wmask = mask_of(whites)
+                pool = rest
+                if rnd.random() < 0.5:
+                    pool = [v for v in rest if not g.adj[v] & smask & ~wmask]
+                size = rnd.randint(0, min(len(whites) + 2, len(pool)))
+                blacks = rnd.sample(pool, size)
+                cand = AugCandidate(frozenset(whites), frozenset(blacks), "x")
+                got = finders.augments(g.adj, smask, wmask, mask_of(blacks))
+                assert got == is_augmenting(g, s, cand)
+                verdicts[got] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100
+
+
 def test_path_finder_examples():
     p3 = path_graph(3)
     c = find_augmenting_path(p3, {1})
@@ -133,10 +169,16 @@ def test_path_finder_examples():
     assert c is not None and len(c.blacks) == 3
 
 
+def mask_of_set(s):
+    """S as a bitmask; ``solve_mis`` hands the finders its bitmask, a
+    test may pass vertex ids."""
+    return s if isinstance(s, int) else mask_of(s)
+
+
 def reference_find_augmenting_path(g, s):
     """The path search without the endpoint bound: the same DFS, pruned
     only by S-degrees and chords."""
-    smask = mask_of(s)
+    smask = mask_of_set(s)
     adj = g.adj
     rmask = ((1 << g.n) - 1) & ~smask
 
@@ -526,7 +568,7 @@ def test_final_round_scan_matches_full_catalogue(
     scanned = []
 
     def recording(g, s, catalog, state=None):
-        scanned.append((g, mask_of(s)))
+        scanned.append((g, mask_of_set(s)))
         return find_from_catalog(g, s, catalog, state)
 
     monkeypatch.setattr(solver, "find_from_catalog", recording)
@@ -697,6 +739,28 @@ def test_fit_index_admits_what_the_count_check_admits(
                 assert is_augmenting(g, s, got)
                 hits += 1
     assert admitted and hits
+
+
+@settings(max_examples=200)
+@given(graphs_st(max_n=9), st.integers(0, (1 << 9) - 1))
+def test_independent_triple_check_matches_brute_force(g, sel):
+    xs = sel & ((1 << g.n) - 1)
+    vs = list(bits(xs))
+    want = any(
+        not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c))
+        for a, b, c in combinations(vs, 3)
+    )
+    assert finders._has_independent_triple(g.adj, xs) == want
+
+    def clique(part):
+        return all(g.has_edge(a, b) for a, b in combinations(part, 2))
+
+    split = any(
+        clique([v for i, v in enumerate(vs) if side >> i & 1])
+        and clique([v for i, v in enumerate(vs) if not side >> i & 1])
+        for side in range(1 << len(vs))
+    )
+    assert finders._two_cliques(g.adj, xs) == split
 
 
 def test_fit_index_computes_claw_centres_only_when_needed(

@@ -1,4 +1,6 @@
+import gc
 import os
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -13,6 +15,7 @@ from augmis import (
     augment,
     brute_force_mis,
     class_patterns,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     default_catalog,
@@ -25,6 +28,7 @@ from augmis import (
     path_graph,
     solve_mis,
 )
+import augmis.solver as solver
 from augmis.enumeration import grow_graphs
 from augmis.io import GraphFormatError, write_catalog
 from augmis.irreducible import Catalog
@@ -127,8 +131,6 @@ def test_solve_soundness_outside_class(solver_catalog9):
 
 
 def test_brute_force_examples():
-    from augmis import complete_bipartite
-
     assert brute_force_mis(complete_bipartite(3, 3)).alpha == 3
     assert brute_force_mis(petersen()).alpha == 4
     assert brute_force_mis(path_graph(7)).alpha == 4
@@ -344,3 +346,103 @@ def test_solve_iteration_and_hit_bookkeeping(solver_catalog9):
     # bad config
     with pytest.raises(ValueError):
         SolveConfig(p=1)
+
+
+def test_free_vertex_sweep_after_an_augmentation(solver_catalog9):
+    # greedy takes the centre of K(1,2000); the first path swaps it for
+    # two leaves, and the sweep adds the other 1998 without an iteration
+    g = complete_bipartite(1, 2000)
+    assert greedy_initial(g) == {0}
+    r = solve_mis(g, catalog=solver_catalog9)
+    assert r.alpha == 2000 and r.iterations == 1
+    assert r.independent_set == frozenset(range(1, 2001))
+    assert r.finder_hits == {"path": 1, "tree": 0, "catalog": 0}
+
+
+def test_every_round_starts_from_a_maximal_set(monkeypatch, solver_catalog9):
+    free = []
+    real = solver.round_state
+
+    def recording(g, s):
+        state = real(g, s)
+        free.append(state.by_degree[0])
+        return state
+
+    monkeypatch.setattr(solver, "round_state", recording)
+    graphs = [complete_bipartite(1, 40), complete_bipartite(3, 5)]
+    graphs += [gen_free_random(12, 0.3, class_patterns(3), s) for s in range(10)]
+    rounds = 0
+    for g in graphs:
+        r = solve_mis(g, catalog=solver_catalog9)
+        rounds += r.iterations + 1
+    assert len(free) == rounds and not any(free)
+
+
+def bad_candidates():
+    """K(1,5) with centre 0, an edge 4-5 and a vertex 6 hanging off
+    leaf 1, whose greedy set is {0, 6}; each candidate breaks one rule.
+    W = {0}, B = {2, 3} would augment."""
+    g = Graph(7, [(0, v) for v in range(1, 6)] + [(4, 5), (1, 6)])
+    assert greedy_initial(g) == {0, 6}
+    return g, {
+        "white outside S": ({0, 1}, {2, 3, 4}),
+        "black inside S": ({0}, {2, 3, 6}),
+        "adjacent blacks": ({0}, {2, 4, 5}),
+        "no more blacks than whites": ({0}, {2}),
+        "black sees S outside the whites": ({0}, {1, 2}),
+    }
+
+
+@pytest.mark.parametrize(
+    "finder", ["find_augmenting_path", "find_tree_extension", "find_from_catalog"]
+)
+def test_solve_rejects_a_candidate_that_does_not_augment(
+    monkeypatch, finder, solver_catalog9
+):
+    g, cases = bad_candidates()
+    for name in ("find_augmenting_path", "find_tree_extension"):
+        if name == finder:
+            break
+        monkeypatch.setattr(solver, name, lambda *args: None)
+
+    def first_call_returns(cand):
+        calls = []
+
+        def patched(*args):
+            calls.append(args)
+            return cand if len(calls) == 1 else None
+
+        return patched
+
+    for rule, (whites, blacks) in cases.items():
+        cand = AugCandidate(frozenset(whites), frozenset(blacks), "x")
+        if rule in ("white outside S", "black inside S"):
+            with pytest.raises(ValueError):
+                is_augmenting(g, {0, 6}, cand)
+        else:
+            assert not is_augmenting(g, {0, 6}, cand)
+        monkeypatch.setattr(solver, finder, first_call_returns(cand))
+        with pytest.raises(ValueError, match="does not augment"):
+            solve_mis(g, catalog=solver_catalog9)
+    # the same wiring applies a good candidate
+    good = AugCandidate(frozenset({0}), frozenset({2, 3}), "x")
+    monkeypatch.setattr(solver, finder, first_call_returns(good))
+    r = solve_mis(g, catalog=solver_catalog9)
+    assert r.independent_set == {2, 3, 4, 6} and r.iterations == 1
+
+
+def test_brute_force_memo_is_freed_on_return():
+    # the memo dies with the call, without the cyclic collector
+    g = gen_free_random(20, 0.3, [], 3)
+    gc.disable()
+    try:
+        brute_force_mis(g)
+        tracemalloc.start()
+        base, _ = tracemalloc.get_traced_memory()
+        for _ in range(5):
+            brute_force_mis(g)
+        now, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert now - base < 8192
