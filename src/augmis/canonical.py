@@ -14,6 +14,16 @@ codes double as dictionary keys for isomorphism-free enumeration.
 Cell indices only ever split monotonically (refinement keys sort by old
 class first), so the colour blocks keep their relative order and the
 colour sequence of every leaf is simply ``sorted(colours)``.
+
+The search meets automorphisms on its way, and a caller that passes an
+``autos`` list receives them: the transposition of each twin pair it
+skips, and, for every leaf whose encoding equals the best one, the
+permutation taking the first such leaf's ordering onto it.  Together
+they generate the whole colour-preserving automorphism group: every
+leaf with the best encoding is the image of the first one under exactly
+one automorphism, and the leaves below a skipped twin are the images of
+its tried twin's leaves under their transposition.  The search itself
+is the same with or without the list, so the code is too.
 """
 
 from __future__ import annotations
@@ -43,9 +53,19 @@ def _refine(n: int, nbrs: list[tuple[int, ...]], classes: list[int]) -> list[int
 
 
 def canon_code(
-    n: int, adj: Sequence[int], colors: Optional[Sequence[int]] = None
+    n: int,
+    adj: Sequence[int],
+    colors: Optional[Sequence[int]] = None,
+    autos: Optional[list[tuple[int, ...]]] = None,
 ) -> bytes:
-    """Canonical certificate of a graph given as adjacency bitmasks."""
+    """Canonical certificate of a graph given as adjacency bitmasks.
+
+    When ``autos`` is a list, the automorphisms the search meets are
+    appended to it, each once, as tuples ``p`` mapping vertex ``v`` to
+    ``p[v]``; they preserve adjacency and colours and generate the
+    automorphism group (the identity is never appended, so a rigid graph
+    leaves the list as it was).
+    """
     if n > MAX_CANON_VERTICES:
         raise ValueError(f"canonical codes support at most {MAX_CANON_VERTICES} vertices")
     if n == 0:
@@ -64,9 +84,12 @@ def canon_code(
     classes = _refine(n, nbrs, classes)
 
     best: Optional[tuple[int, ...]] = None
+    best_order: list[int] = []
+    # the automorphisms met, in order and each once, when asked for
+    found: Optional[dict[tuple[int, ...], None]] = {} if autos is not None else None
 
     def leaf(classes: list[int]) -> None:
-        nonlocal best
+        nonlocal best, best_order
         order = sorted(range(n), key=classes.__getitem__)
         pos = [0] * n
         for i, v in enumerate(order):
@@ -82,6 +105,12 @@ def canon_code(
         cand = tuple(rows)
         if best is None or cand < best:
             best = cand
+            best_order = order
+        elif found is not None and cand == best:
+            perm = [0] * n
+            for v, u in zip(best_order, order):
+                perm[v] = u
+            found[tuple(perm)] = None
 
     def descend(classes: list[int]) -> None:
         cells: dict[int, list[int]] = {}
@@ -101,6 +130,10 @@ def canon_code(
             for u in tried:
                 if adj[v] & ~(1 << u) == adj[u] & ~(1 << v):
                     twin = True
+                    if found is not None:
+                        swap = list(range(n))
+                        swap[u], swap[v] = v, u
+                        found[tuple(swap)] = None
                     break
             if twin:
                 continue
@@ -112,6 +145,8 @@ def canon_code(
 
     descend(classes)
     assert best is not None
+    if found:
+        autos.extend(found)
     return _pack(n, sorted(cols), best)
 
 

@@ -1,16 +1,32 @@
 """Exhaustive generation of small graphs, one per isomorphism class.
 
 All three generators run one level-wise loop, ``_grow``: each level is a
-dict from canonical code to the first representative seen, and the
-children of every representative are formed by adding ``step`` fresh
-vertices.  Each child goes through three steps, cheapest first:
+dict from canonical code to the first representative seen, packed into
+one int, and the children of every representative are formed by adding
+``step`` fresh vertices.  Each child goes through four steps, cheapest
+first:
 
-1. the generator's shape check (bipartite or connected);
-2. its canonical code, and a skip if that code is already kept in the
+1. the orbit skip: a child whose fresh rows and colours an automorphism
+   of its parent maps onto those of an earlier child of the same parent
+   is dropped before anything else is done with it;
+2. the generator's shape check (bipartite or connected);
+3. its canonical code, and a skip if that code is already kept in the
    next level or already rejected at it;
-3. otherwise, the induced filter search through the fresh vertices, run
+4. otherwise, the induced filter search through the fresh vertices, run
    once for the class: a passing child is kept as the representative of
    its code, a failing one leaves its code among the rejected.
+
+The parent automorphisms are the generators ``canon_code`` reports while
+coding the parent (kept only for the representatives that are grown
+further).  An automorphism of the parent, extended by fixing the fresh
+vertices, is an isomorphism from one child onto the other, so a skipped
+child always has an isomorphic child earlier in the same parent's
+sequence: its class was met before it, and the earlier child decided
+its shape, code and filter verdict.  The first child of every class is
+the first of its orbit, so it is never skipped; this is the part of
+orderly generation (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998) that keeps every representative and the yield
+order, while sparing the code of every later child of the same orbit.
 
 The generators differ only in their seeds, their step and how they
 attach the fresh vertices.  Completeness rests on two facts:
@@ -45,6 +61,62 @@ __all__ = ["grow_graphs", "grow_bicolored_raw", "grow_balanced_bicolored_raw"]
 Adj = tuple[int, ...]
 Cols = Optional[tuple[int, ...]]
 Raw = tuple[int, Adj, Cols]
+Gens = tuple[tuple[int, ...], ...]
+
+
+def _pack(n: int, adj: Adj, cols: Cols) -> int:
+    """One int per stored graph: the colour bits of a coloured graph,
+    then each row's bits below its own vertex, row i at i(i-1)/2 above
+    them."""
+    x = 0
+    for i in range(n - 1, 0, -1):
+        x = x << i | adj[i] & ((1 << i) - 1)
+    if cols is not None:
+        for c in reversed(cols):
+            x = x << 1 | c
+    return x
+
+
+def _unpack(n: int, x: int, coloured: bool) -> tuple[Adj, Cols]:
+    cols = None
+    if coloured:
+        cols = tuple(x >> i & 1 for i in range(n))
+        x >>= n
+    adj = [0] * n
+    for i in range(1, n):
+        below = x & ((1 << i) - 1)
+        x >>= i
+        adj[i] |= below
+        while below:
+            b = below & -below
+            below ^= b
+            adj[b.bit_length() - 1] |= 1 << i
+    return tuple(adj), cols
+
+
+def _orbit(rows: Adj, images: list[list[int]], low: int) -> set[Adj]:
+    """The fresh rows ``rows`` under the group generated by the parent
+    automorphisms whose bit images are ``images``: each generator moves
+    the parent bits (those in ``low``) and fixes the fresh ones."""
+    orbit = {rows}
+    stack = [rows]
+    while stack:
+        r = stack.pop()
+        for img in images:
+            out = []
+            for x in r:
+                y = x & ~low
+                x &= low
+                while x:
+                    b = x & -x
+                    x ^= b
+                    y |= img[b.bit_length() - 1]
+                out.append(y)
+            q = tuple(out)
+            if q not in orbit:
+                orbit.add(q)
+                stack.append(q)
+    return orbit
 
 
 def _grow(
@@ -57,12 +129,16 @@ def _grow(
 ) -> Iterator[Raw]:
     """Level-wise growth with canonical-code dedup per level.
 
-    ``seeds`` are single-vertex graphs.  Each child is shape-checked,
-    then coded, and only the first child of each new code is searched
-    for a filter pattern through its fresh vertices; the codes that fail
-    are kept per level in ``rejected`` so that no later child of the
-    same class is searched again.  Each level is yielded in ascending
-    canonical-code order; nothing is yielded when ``n_max`` is below 1.
+    ``seeds`` are single-vertex graphs, all uncoloured or all coloured 0/1.
+    Children go through the four steps of the module docstring; the codes
+    whose filter search fails are kept per level in ``rejected`` so that
+    no later child of the same class is searched again.  A level maps
+    each code, read as a big-endian int (all codes of one level have one
+    length, so the order is that of the bytes), to its packed
+    representative (see ``_pack``); the automorphism generators of the
+    representatives that will be grown further are kept beside it.  Each
+    level is yielded in ascending code order; nothing is yielded when
+    ``n_max`` is below 1.
     """
     if n_max < 1:
         return
@@ -77,33 +153,62 @@ def _grow(
                         return True
         return False
 
-    n = 1
-    level: dict[bytes, tuple[Adj, Cols]] = {}
-    for adj, cols in seeds:
-        if (shape is None or shape(1, adj)) and not filtered(1, adj, range(1)):
-            level[canon_code(1, adj, cols)] = (adj, cols)
-    while True:
-        for code in sorted(level):
-            adj, cols = level[code]
-            yield n, adj, cols
-        n += step
-        if n > n_max:
-            return
-        fresh = range(n - step, n)
-        nxt: dict[bytes, tuple[Adj, Cols]] = {}
-        rejected: set[bytes] = set()
-        for padj, pcols in level.values():
+    def grow(
+        pn: int, level: dict[int, int], gens_of: dict[int, Gens]
+    ) -> tuple[dict[int, int], dict[int, Gens]]:
+        n = pn + step
+        fresh = range(pn, n)
+        low = (1 << pn) - 1
+        # generators are kept only for the representatives grown further
+        autos: Optional[list[tuple[int, ...]]] = [] if n + step <= n_max else None
+        nxt: dict[int, int] = {}
+        nxt_gens: dict[int, Gens] = {}
+        rejected: set[int] = set()
+        for pcode, packed in level.items():
+            padj, pcols = _unpack(pn, packed, coloured)
+            gens = gens_of.get(pcode)
+            if gens:
+                images = [[1 << q for q in p] for p in gens]
+                met: set = set()
             for adj, cols in children(padj, pcols):
+                if gens:
+                    key = cols[pn:] if coloured else None, adj[pn:]
+                    if key in met:
+                        continue
+                    met.update((key[0], r) for r in _orbit(key[1], images, low))
                 if shape is not None and not shape(n, adj):
                     continue
-                code = canon_code(n, adj, cols)
-                if code in nxt or code in rejected:
-                    continue
-                if filtered(n, adj, fresh):
-                    rejected.add(code)
-                else:
-                    nxt[code] = (adj, cols)
-        level = nxt
+                code = int.from_bytes(canon_code(n, adj, cols, autos), "big")
+                if code not in nxt and code not in rejected:
+                    if filtered(n, adj, fresh):
+                        rejected.add(code)
+                    else:
+                        nxt[code] = _pack(n, adj, cols)
+                        if autos:
+                            nxt_gens[code] = tuple(autos)
+                if autos:
+                    autos.clear()
+        return nxt, nxt_gens
+
+    n = 1
+    seeds = list(seeds)
+    coloured = seeds[0][1] is not None
+    level: dict[int, int] = {}
+    for adj, cols in seeds:
+        if (shape is None or shape(1, adj)) and not filtered(1, adj, range(1)):
+            level[int.from_bytes(canon_code(1, adj, cols), "big")] = _pack(1, adj, cols)
+    gens_of: dict[int, Gens] = {}
+    while n + step <= n_max:
+        for code in sorted(level):
+            yield (n, *_unpack(n, level[code], coloured))
+        level, gens_of = grow(n, level, gens_of)
+        n += step
+    # the last level is never grown: its store is let go as it is yielded,
+    # so the consumer's work on it does not run beside the whole store
+    reps = [level[code] for code in sorted(level, reverse=True)]
+    del level
+    while reps:
+        yield (n, *_unpack(n, reps.pop(), coloured))
 
 
 def grow_graphs(

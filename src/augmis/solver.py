@@ -24,7 +24,6 @@ from .finders import (
     find_augmenting_path,
     find_from_catalog,
     find_tree_extension,
-    is_augmenting,
     round_state,
 )
 from .graphs import Graph, bits, is_independent, mask_of, set_of
@@ -91,13 +90,16 @@ def _greedy_mask(adj: tuple[int, ...]) -> int:
 
 
 def augment(g: Graph, s: Iterable[int], cand: AugCandidate) -> frozenset[int]:
-    """Swap the candidate whites out of S and its blacks in."""
+    """Swap the candidate whites out of S and its blacks in.
+
+    Raises ``ValueError`` when S is not independent or when the candidate
+    does not augment S (the verdict of ``finders.augments``)."""
     s = frozenset(s)
-    if not is_augmenting(g, s, cand):
+    if not is_independent(g, s):
+        raise ValueError("S is not independent")
+    if not augments(g.adj, mask_of(s), mask_of(cand.whites), mask_of(cand.blacks)):
         raise ValueError("candidate is not augmenting for S")
-    out = (s - cand.whites) | cand.blacks
-    assert is_independent(g, out) and len(out) > len(s)
-    return out
+    return (s - cand.whites) | cand.blacks
 
 
 _CATALOG_MEMO: dict[tuple[int, tuple[Pattern, ...]], Catalog] = {}

@@ -82,6 +82,33 @@ def max_bipartite_matching(h):
     return frozenset((w, b) for b, w in match_of.items())
 
 
+def automorphisms(n, masks, cols=None):
+    """Every colour-preserving automorphism as a tuple ``p`` mapping v to
+    ``p[v]``, by a search over all permutations that drops a prefix as
+    soon as it breaks adjacency or colours."""
+    cols = cols if cols is not None else (0,) * n
+    image = [0] * n
+    used = [False] * n
+    out = []
+
+    def extend(v):
+        if v == n:
+            out.append(tuple(image))
+            return
+        for w in range(n):
+            if used[w] or cols[w] != cols[v]:
+                continue
+            if all((masks[u] >> v & 1) == (masks[image[u]] >> w & 1)
+                   for u in range(v)):
+                used[w] = True
+                image[v] = w
+                extend(v + 1)
+                used[w] = False
+
+    extend(0)
+    return out
+
+
 def canonical_code(h):
     """The colour-respecting canonical code a catalogue stores for ``h``."""
     return canon_code(h.graph.n, h.graph.adj, h.colors())

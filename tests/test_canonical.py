@@ -4,17 +4,18 @@ Completeness (equal codes imply isomorphism) is structural: a code
 decodes to a representative graph, so equal codes mean both graphs are
 isomorphic to the same representative.  The tests therefore concentrate
 on invariance, plus an exhaustive class count against a label-level
-brute force at n <= 5.
+brute force at n <= 5, and on the automorphisms a search reports: each
+one is an automorphism, and together they generate the whole group.
 """
 
 import random
 from itertools import permutations
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from augmis.canonical import canon_code, decode_code
-from conftest import graphs_st
+from conftest import automorphisms, graphs_st
 
 
 def permuted(n, masks, perm):
@@ -113,3 +114,66 @@ def test_highly_symmetric_graphs():
         perm = list(range(9))
         rng.shuffle(perm)
         assert canon_code(9, permuted(9, c9.adj, perm)) == code9
+
+
+# -- reported automorphisms -------------------------------------------------
+
+
+def generated_order(n, gens):
+    """Order of the permutation group generated by ``gens``."""
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in gens:
+                c = tuple(h[g[v]] for v in range(n))
+                if c not in group:
+                    group.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return len(group)
+
+
+def check_reported_automorphisms(n, masks, cols):
+    autos = []
+    assert canon_code(n, masks, cols, autos) == canon_code(n, masks, cols)
+    for p in autos:
+        assert sorted(p) == list(range(n)) and p != tuple(range(n))
+        assert all(cols[p[v]] == cols[v] for v in range(n))
+        assert permuted(n, masks, p) == list(masks)
+    assert generated_order(n, autos) == len(automorphisms(n, masks, cols))
+
+
+def graph_classes(n_max):
+    """One labelled graph per isomorphism class on 1..n_max vertices,
+    grown by adding a vertex with every neighbourhood."""
+    level = {canon_code(1, [0]): (0,)}
+    out = list(level.values())
+    for n in range(2, n_max + 1):
+        nxt = {}
+        for masks in level.values():
+            for nb in range(1 << (n - 1)):
+                child = tuple(
+                    m | (1 << (n - 1)) * (nb >> v & 1) for v, m in enumerate(masks)
+                ) + (nb,)
+                nxt.setdefault(canon_code(n, child), child)
+        level = nxt
+        out.extend(level.values())
+    return out
+
+
+def test_reported_automorphisms_generate_the_group_small():
+    classes = graph_classes(6)
+    assert len(classes) == 1 + 2 + 4 + 11 + 34 + 156
+    for masks in classes:
+        n = len(masks)
+        check_reported_automorphisms(n, masks, (0,) * n)
+
+
+@settings(max_examples=200)
+@given(graphs_st(max_n=7), st.randoms(use_true_random=False))
+def test_reported_automorphisms_generate_the_group_colored(g, rnd):
+    cols = [rnd.randint(0, 1) for _ in range(g.n)]
+    check_reported_automorphisms(g.n, g.adj, cols)

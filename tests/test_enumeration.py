@@ -1,5 +1,6 @@
-"""Frozen digests of the enumerators' output, and the grow loop against
-a reference that filters every child before deduplicating.
+"""Frozen digests of the enumerators' output, the grow loop against a
+reference that filters every child before deduplicating, and the orbit
+skip's number of canonical codes against a brute-force count.
 
 The count tests elsewhere would miss a change of representative or of
 yield order; these digests catch it.  Each is a sha256 over
@@ -20,6 +21,7 @@ from augmis.enumeration import (
 )
 from augmis.patterns import _as_graph, _compile, _contains_anchored
 from augmis.solver import _default_filters
+from conftest import automorphisms
 
 
 def _digest(items):
@@ -34,6 +36,8 @@ def _digest(items):
 def test_grow_graphs_digests():
     classes = grow_graphs(7, free_of=class_patterns(3))
     assert _digest((g.n, g.adj) for g in classes) == (938, "d84bdf882ab4f152")
+    sweep = grow_graphs(8, free_of=class_patterns(3))
+    assert _digest((g.n, g.adj) for g in sweep) == (9930, "81f79251303f59e6")
     spider_free = grow_graphs(9, bipartite=True, free_of=(Pattern("S", (1, 1, 3)),))
     assert _digest((g.n, g.adj) for g in spider_free) == (276, "22c4e72546af03f9")
 
@@ -151,3 +155,70 @@ def test_filter_search_runs_once_per_class(monkeypatch):
     assert len(set(codes)) == len(codes)
     # 938 classes kept and 57 rejected, each searched once
     assert (len(searched), counting.calls) == (995, 1943)
+
+
+def _orbit_representatives(raw, n_max, seeds, step, children, shape):
+    """Canonical codes an orbit skip with the full automorphism group of
+    each parent takes: one per shape-passing seed (no filter holds a
+    single vertex), and per expanded parent one per orbit of its
+    shape-passing children under every permutation that is an
+    automorphism of the parent, found by brute force."""
+    count = sum(1 for adj, _ in seeds if shape is None or shape(1, adj))
+    for n, adj, cols in raw:
+        if n + step > n_max:
+            continue
+        low = (1 << n) - 1
+        group = automorphisms(n, adj, cols)
+        orbits = set()
+        for cadj, ccols in children(adj, cols):
+            if shape is not None and not shape(n + step, cadj):
+                continue
+            fresh_cols = ccols[n:] if ccols is not None else None
+            orbits.add(min(
+                (fresh_cols, tuple(
+                    r & ~low | sum(1 << p[v] for v in range(n) if r >> v & 1)
+                    for r in cadj[n:]
+                ))
+                for p in group
+            ))
+        count += len(orbits)
+    return count
+
+
+_SKIP_RUNS = {
+    "graphs-S113-K3x3": (
+        lambda: [(g.n, g.adj, None) for g in grow_graphs(7, free_of=class_patterns(3))],
+        4104,
+    ),
+    "balanced-p3": (
+        lambda: list(grow_balanced_bicolored_raw(9, _default_filters(3))),
+        4399,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SKIP_RUNS))
+def test_orbit_skip_codes_one_child_per_parent_orbit(name, monkeypatch):
+    # a child is coded only when no automorphism of its parent maps it onto
+    # an earlier child, so a skip that misses part of a parent's group (or
+    # skips more) codes a different number of children
+    run, pinned = _SKIP_RUNS[name]
+    grow, canon = enumeration._grow, enumeration.canon_code
+    args = {}
+    calls = []
+
+    def spy(n_max, seeds, step, children, shape, free_of):
+        seeds = list(seeds)
+        args.update(n_max=n_max, seeds=seeds, step=step, children=children,
+                    shape=shape)
+        return grow(n_max, seeds, step, children, shape, free_of)
+
+    def counting(*a, **k):
+        calls.append(a[0])
+        return canon(*a, **k)
+
+    monkeypatch.setattr(enumeration, "_grow", spy)
+    monkeypatch.setattr(enumeration, "canon_code", counting)
+    raw = run()
+    monkeypatch.undo()
+    assert len(calls) == _orbit_representatives(raw, **args) == pinned
