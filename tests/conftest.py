@@ -1,10 +1,15 @@
+from functools import reduce
+from itertools import combinations
+from operator import or_
+
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from augmis import Graph, Pattern, enumerate_irreducible
 from augmis.canonical import canon_code
-from augmis.graphs import set_of, two_colouring
+from augmis.finders import AugCandidate, _pick_leaves, augments, round_state
+from augmis.graphs import bits, mask_of, set_of, two_colouring
 
 settings.register_profile(
     "augmis",
@@ -112,6 +117,62 @@ def automorphisms(n, masks, cols=None):
 def canonical_code(h):
     """The colour-respecting canonical code a catalogue stores for ``h``."""
     return canon_code(h.graph.n, h.graph.adj, h.colors())
+
+
+def reference_tree_extension(g, s, p, state=None):
+    """``find_tree_extension`` as a plain scan: every (Q1, Q2, centre)
+    triple in the documented order, with the masks rebuilt per pair."""
+    if p < 2:
+        raise ValueError("class parameter p must be at least 2")
+    if state is None:
+        state = round_state(g, s)
+    smask, rmask, by_degree = state
+    adj = g.adj
+    k_min = p + 2
+
+    centres = list(bits(reduce(or_, by_degree[k_min:], 0)))
+    if not centres:
+        return None
+    r_list = list(bits(rmask))
+    s_list = list(bits(smask))
+    ns_of = {v: adj[v] & smask for v in r_list}
+
+    for m in range(0, 2 * p + 1):
+        if m > min(len(s_list), len(r_list)):
+            break
+        for q1 in combinations(s_list, m):
+            q1mask = mask_of(q1)
+            for q2 in combinations(r_list, m):
+                q2mask = mask_of(q2)
+                ok = True
+                ns_q2 = 0
+                for v in q2:
+                    if adj[v] & q2mask:
+                        ok = False
+                        break
+                    ns_q2 |= ns_of[v]
+                if not ok:
+                    continue
+                for u in centres:
+                    if q2mask >> u & 1 or adj[u] & q2mask:
+                        continue
+                    a0 = ns_of[u] & ~q1mask
+                    if a0.bit_count() < k_min:
+                        continue
+                    if ns_q2 & ~(a0 | q1mask):
+                        continue
+                    leaves = _pick_leaves(
+                        adj, r_list, ns_of, smask, q1mask, q2mask, u, a0
+                    )
+                    if leaves is None:
+                        continue
+                    wmask = a0 | q1mask
+                    bmask = (1 << u) | mask_of(leaves) | q2mask
+                    if augments(adj, smask, wmask, bmask):
+                        return AugCandidate(
+                            set_of(wmask), set_of(bmask), "tree_extension"
+                        )
+    return None
 
 
 def petersen() -> Graph:

@@ -49,6 +49,7 @@ from augmis.enumeration import grow_graphs
 from augmis.irreducible import Catalog
 from augmis.graphs import bits, mask_of, set_of
 from augmis.solver import SolveConfig, class_patterns
+import conftest
 from conftest import graphs_st, induced_subgraph
 
 
@@ -312,11 +313,15 @@ def test_tree_extension_candidate_contains_big_star():
     assert find_induced(sub, Pattern("T", (5,))) is not None
 
 
-def test_tree_extension_warns_on_class_violation():
-    # wheel-ish star whose leaves share an edge: not spider-free
-    k = 5
+def dependent_leaves_star(k=5):
+    """T(k) with an edge between the first two leaves: not spider-free."""
     t = subdivided_star(k)
-    g = Graph(t.n, list(t.edges()) + [(k + 1, k + 2)])
+    return Graph(t.n, list(t.edges()) + [(k + 1, k + 2)])
+
+
+def test_tree_extension_skips_dependent_leaves():
+    k = 5
+    g = dependent_leaves_star(k)
     s = frozenset(range(1, k + 1))
     # the leaves found are not independent, so the candidate is dropped
     # and the scan goes on; no warning is raised
@@ -324,6 +329,82 @@ def test_tree_extension_warns_on_class_violation():
         warnings.simplefilter("error")
         got = find_tree_extension(g, s, 3)
     assert got is None
+
+
+def relabelled(g, rnd):
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def tree_reference_corpus():
+    """(graph, S or None, p) inputs for the reference comparison; None
+    stands for every S that solve_mis visits from greedy."""
+    rnd = random.Random("tree extension reference")
+    out = []
+    for p in (2, 3):
+        # K(1,k) + P(L) certifications, where the scan misses
+        for k, n in ((5, 14), (5, 16), (5, 18), (6, 16), (6, 18)):
+            edges = [(0, i) for i in range(1, k + 1)]
+            edges += [(i, i + 1) for i in range(k + 1, n - 1)]
+            out.append((relabelled(Graph(n, edges), rnd), None, p))
+        for k in range(5, 8):
+            for extras in range(3):
+                g, s = plant_augmenting_tree(
+                    PlantSpec(k=k, p=p, extras=extras, seed=rnd.randrange(99))
+                )
+                out += [(g, s, p), (g, None, p)]
+        for seed in range(6):
+            g = gen_free_random(12, 0.3, class_patterns(p), seed)
+            greedy = greedy_initial(g)
+            out += [(g, greedy, p), (g, greedy - {min(greedy)}, p)]
+        for n in range(2, 7):
+            out.append((complete_bipartite(n, n), frozenset(range(n)), p))
+        out.append((dependent_leaves_star(), frozenset(range(1, 6)), p))
+        # two disjoint T(5): both centres hit, and the lower one is returned
+        t5 = subdivided_star(5)
+        twin = Graph(22, [(u + d, v + d) for u, v in t5.edges() for d in (0, 11)])
+        out.append((twin, frozenset(range(1, 6)) | frozenset(range(12, 17)), p))
+    return out
+
+
+def test_tree_extension_matches_reference(monkeypatch):
+    # the (Q1, Q2, centre, middles) of every triple that passes the
+    # centre tests, in scan order
+    trace = []
+
+    def recording(pick):
+        def rec(adj, r_list, ns_of, smask, q1mask, q2mask, u, a0):
+            trace.append((q1mask, q2mask, u, a0))
+            return pick(adj, r_list, ns_of, smask, q1mask, q2mask, u, a0)
+        return rec
+
+    monkeypatch.setattr(finders, "_pick_leaves", recording(finders._pick_leaves))
+    monkeypatch.setattr(conftest, "_pick_leaves", recording(conftest._pick_leaves))
+    outcomes = Counter()
+
+    def checked(g, s, p, state=None):
+        trace.clear()
+        got = find_tree_extension(g, s, p, state)
+        seen = trace[:]
+        trace.clear()
+        assert got == conftest.reference_tree_extension(g, s, p, state)
+        assert seen == trace
+        if got is None:
+            outcomes["miss"] += 1
+        else:
+            outcomes["hit", min(trace[-1][0].bit_count(), 1)] += 1
+        return got
+
+    # every S that solve_mis visits goes through both scans
+    monkeypatch.setattr(solver, "find_tree_extension", checked)
+    for g, s, p in tree_reference_corpus():
+        if s is None:
+            solve_mis(g, SolveConfig(p=p))
+        else:
+            checked(g, s, p)
+    # misses, hits with empty Q1 and Q2, and hits with m >= 1
+    assert outcomes["miss"] and outcomes["hit", 0] and outcomes["hit", 1]
 
 
 def test_catalog_finder_examples(solver_catalog9):
