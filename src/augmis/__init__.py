@@ -33,7 +33,6 @@ from .irreducible import (
     CatalogEntry,
     ColoredBipartite,
     SearchBudgetError,
-    bicolored,
     bipartite_ramsey_search,
     enumerate_irreducible,
     hall_surplus_check,
@@ -44,16 +43,13 @@ from .finders import (
     find_augmenting_path,
     find_from_catalog,
     find_tree_extension,
-    is_augmenting,
 )
 from .solver import (
     MisResult,
     SolveConfig,
     SolveResult,
-    augment,
     brute_force_mis,
     default_catalog,
-    greedy_initial,
     solve_mis,
 )
 from .instances import (

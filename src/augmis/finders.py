@@ -24,7 +24,7 @@ from itertools import combinations
 from operator import or_
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .graphs import Graph, bits, is_independent, mask_of, set_of
+from .graphs import Graph, bits, mask_of, set_of
 from .irreducible import Catalog, CatalogEntry
 from .patterns import _anchored_order, _Plan, _search
 
@@ -33,7 +33,6 @@ __all__ = [
     "RoundState",
     "round_state",
     "augments",
-    "is_augmenting",
     "find_augmenting_path",
     "find_tree_extension",
     "find_from_catalog",
@@ -99,32 +98,6 @@ def augments(adj: tuple[int, ...], smask: int, wmask: int, bmask: int) -> bool:
         low = rest & -rest
         rest ^= low
         if adj[low.bit_length() - 1] & banned:
-            return False
-    return True
-
-
-def is_augmenting(g: Graph, s: Iterable[int], cand: AugCandidate) -> bool:
-    """Verdict on a candidate; precondition breaches raise instead.
-
-    Preconditions: S independent, candidate whites inside S, candidate
-    blacks outside S.  Verdict: blacks independent, strictly more blacks
-    than whites, and no black has a neighbour in S outside the whites.
-    """
-    s = frozenset(s)
-    if not is_independent(g, s):
-        raise ValueError("S is not independent")
-    if not cand.whites <= s:
-        raise ValueError("candidate whites must lie inside S")
-    if cand.blacks & s:
-        raise ValueError("candidate blacks must lie outside S")
-    if not is_independent(g, cand.blacks):
-        return False
-    if len(cand.blacks) <= len(cand.whites):
-        return False
-    smask = mask_of(s)
-    wmask = mask_of(cand.whites)
-    for b in cand.blacks:
-        if g.adj[b] & smask & ~wmask:
             return False
     return True
 
@@ -247,12 +220,16 @@ def find_tree_extension(
     tuples, so Q2's mask and S-neighbourhood are built as the
     combination is read and the build stops at the first member adjacent
     to an earlier one; a centre is tested against its closed
-    neighbourhood.  Measured misses (medians of 3, 2 shared cores,
-    Python 3.11.7) on K(1,5) + P(L) with S maximum: 0.07 s at n = 20,
-    0.8 s at n = 24, 7.9 s at n = 28.  On K(n,n) with S one side, which
-    is outside the class for n >= p, every vertex outside S is a centre
-    and almost every triple reaches the leaf pick: 1.5 s at n = 10,
-    32 s at n = 12.
+    neighbourhood.  A leaf has one S-neighbour outside Q1, so at most
+    m + 1 in all: at |Q1| = m the leaves are picked from the vertices
+    outside S with 1 to m + 1 S-neighbours, ascending, a pool built when
+    the scan first reaches m.  Measured misses (medians of 3, 2 shared
+    cores, Python 3.11.7) on K(1,5) + P(L) with S maximum: 0.07 s at
+    n = 20, 0.8 s at n = 24, 7.9 s at n = 28.  On K(n,n) with S one
+    side, which is outside the class for n >= p, every vertex outside S
+    is a centre and almost every triple reaches the leaf pick, whose
+    pools are empty: 0.23-0.27 s at n = 9, 1.2-1.5 s at n = 10 and
+    22 s at n = 12.
 
     ``s`` and ``state`` are as in ``find_augmenting_path``.
     """
@@ -271,9 +248,9 @@ def find_tree_extension(
     ns_of = {v: adj[v] & smask for v in r_list}
 
     def extension(
-        q1mask: int, q2mask: int, u: int, a0: int
+        pool: list[int], q1mask: int, q2mask: int, u: int, a0: int
     ) -> Optional[AugCandidate]:
-        leaves = _pick_leaves(adj, r_list, ns_of, smask, q1mask, q2mask, u, a0)
+        leaves = _pick_leaves(adj, pool, ns_of, smask, q1mask, q2mask, u, a0)
         if leaves is None:
             return None
         wmask = a0 | q1mask
@@ -283,8 +260,9 @@ def find_tree_extension(
         return None
 
     # m = 0: Q1 and Q2 are empty, and every centre has at least p+2 middles
+    pool = list(bits(by_degree[1]))
     for u in centres:
-        hit = extension(0, 0, u, ns_of[u])
+        hit = extension(pool, 0, 0, u, ns_of[u])
         if hit is not None:
             return hit
 
@@ -293,6 +271,7 @@ def find_tree_extension(
     s_bits = [1 << v for v in bits(smask)]
     c_info = [(u, adj[u] | 1 << u, ns_of[u]) for u in centres]
     for m in range(1, min(2 * p, len(s_bits), len(r_info)) + 1):
+        pool = list(bits(reduce(or_, by_degree[1 : m + 2])))
         for q1 in combinations(s_bits, m):
             q1mask = reduce(or_, q1)
             for q2 in combinations(r_info, m):
@@ -313,7 +292,7 @@ def find_tree_extension(
                             continue
                         if ns_q2 & ~(ns_u | q1mask):
                             continue
-                        hit = extension(q1mask, q2mask, u, a0)
+                        hit = extension(pool, q1mask, q2mask, u, a0)
                         if hit is not None:
                             return hit
     return None
@@ -321,7 +300,7 @@ def find_tree_extension(
 
 def _pick_leaves(
     adj: tuple[int, ...],
-    r_list: list[int],
+    pool: list[int],
     ns_of: dict[int, int],
     smask: int,
     q1mask: int,
@@ -329,20 +308,21 @@ def _pick_leaves(
     u: int,
     a0: int,
 ) -> Optional[list[int]]:
-    """Least leaf per star middle, or None when some middle has no pool."""
+    """Least leaf per star middle from ``pool``, ascending vertices
+    outside S, or None when some middle has no leaf."""
     forbidden = (1 << u) | q2mask
-    pool: dict[int, int] = {}
-    for v in r_list:
+    least: dict[int, int] = {}
+    for v in pool:
         if forbidden >> v & 1 or adj[v] & forbidden:
             continue
         key = ns_of[v] & ~q1mask
         if key and not key & (key - 1) and key & a0:
             a = key.bit_length() - 1
-            if a not in pool:
-                pool[a] = v
+            if a not in least:
+                least[a] = v
     leaves = []
     for a in bits(a0):
-        v = pool.get(a)
+        v = least.get(a)
         if v is None:
             return None
         leaves.append(v)

@@ -22,7 +22,6 @@ from .patterns import Pattern
 
 __all__ = [
     "ColoredBipartite",
-    "bicolored",
     "hall_surplus_check",
     "is_irreducible",
     "CatalogEntry",
@@ -68,18 +67,6 @@ class ColoredBipartite:
             f"ColoredBipartite(n={self.graph.n}, |W|={len(self.white)}, "
             f"|B|={len(self.black)})"
         )
-
-
-def bicolored(
-    n_white: int, n_black: int, edges: Iterable[tuple[int, int]]
-) -> ColoredBipartite:
-    """Whites 0..n_white-1, blacks n_white..n_white+n_black-1."""
-    n = n_white + n_black
-    return ColoredBipartite(
-        Graph(n, edges),
-        frozenset(range(n_white)),
-        frozenset(range(n_white, n)),
-    )
 
 
 def _matching_size(adj: Sequence[int], whites: Sequence[int], banned: int) -> int:

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .finders import (
-    AugCandidate,
     augments,
     find_augmenting_path,
     find_from_catalog,
@@ -34,8 +33,6 @@ from .patterns import Pattern, class_patterns, is_free
 __all__ = [
     "SolveConfig",
     "SolveResult",
-    "greedy_initial",
-    "augment",
     "solve_mis",
     "brute_force_mis",
     "MisResult",
@@ -76,30 +73,13 @@ class SolveResult:
     finder_hits: dict[str, int] = field(compare=False)
 
 
-def greedy_initial(g: Graph) -> frozenset[int]:
-    """Maximal independent set by ascending-id greedy."""
-    return set_of(_greedy_mask(g.adj))
-
-
 def _greedy_mask(adj: tuple[int, ...]) -> int:
+    """Maximal independent set by ascending-id greedy, as a bitmask."""
     taken = 0
     for v, nbrs in enumerate(adj):
         if not nbrs & taken:
             taken |= 1 << v
     return taken
-
-
-def augment(g: Graph, s: Iterable[int], cand: AugCandidate) -> frozenset[int]:
-    """Swap the candidate whites out of S and its blacks in.
-
-    Raises ``ValueError`` when S is not independent or when the candidate
-    does not augment S (the verdict of ``finders.augments``)."""
-    s = frozenset(s)
-    if not is_independent(g, s):
-        raise ValueError("S is not independent")
-    if not augments(g.adj, mask_of(s), mask_of(cand.whites), mask_of(cand.blacks)):
-        raise ValueError("candidate is not augmenting for S")
-    return (s - cand.whites) | cand.blacks
 
 
 _CATALOG_MEMO: dict[tuple[int, tuple[Pattern, ...]], Catalog] = {}

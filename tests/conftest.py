@@ -6,10 +6,12 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from augmis import Graph, Pattern, enumerate_irreducible
+from augmis import Graph, Pattern, enumerate_irreducible, is_independent
 from augmis.canonical import canon_code
 from augmis.finders import AugCandidate, _pick_leaves, augments, round_state
 from augmis.graphs import bits, mask_of, set_of, two_colouring
+from augmis.irreducible import ColoredBipartite
+from augmis.solver import _greedy_mask
 
 settings.register_profile(
     "augmis",
@@ -36,6 +38,53 @@ def graphs_st(draw, min_n: int = 1, max_n: int = 9):
 
 
 # -- oracles the tests share --------------------------------------------
+
+
+def greedy_initial(g):
+    """The greedy start of ``solve_mis``, as vertex ids."""
+    return set_of(_greedy_mask(g.adj))
+
+
+def bicolored(n_white, n_black, edges):
+    """Whites 0..n_white-1, blacks n_white..n_white+n_black-1."""
+    n = n_white + n_black
+    return ColoredBipartite(
+        Graph(n, edges),
+        frozenset(range(n_white)),
+        frozenset(range(n_white, n)),
+    )
+
+
+def verdict(g, s, cand):
+    """``finders.augments`` on the masks of S and of the candidate."""
+    return augments(g.adj, mask_of(s), mask_of(cand.whites), mask_of(cand.blacks))
+
+
+def is_augmenting(g, s, cand):
+    """Verdict on a candidate; precondition breaches raise instead.
+
+    Preconditions: S independent, candidate whites inside S, candidate
+    blacks outside S.  Verdict: blacks independent, strictly more blacks
+    than whites, and no black has a neighbour in S outside the whites.
+    The set-based reference for ``finders.augments``.
+    """
+    s = frozenset(s)
+    if not is_independent(g, s):
+        raise ValueError("S is not independent")
+    if not cand.whites <= s:
+        raise ValueError("candidate whites must lie inside S")
+    if cand.blacks & s:
+        raise ValueError("candidate blacks must lie outside S")
+    if not is_independent(g, cand.blacks):
+        return False
+    if len(cand.blacks) <= len(cand.whites):
+        return False
+    smask = mask_of(s)
+    wmask = mask_of(cand.whites)
+    for b in cand.blacks:
+        if g.adj[b] & smask & ~wmask:
+            return False
+    return True
 
 
 def neighbourhood(g, us):

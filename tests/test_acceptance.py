@@ -18,7 +18,6 @@ from augmis import (
     Pattern,
     PlantSpec,
     SolveConfig,
-    augment,
     bipartite_ramsey_search,
     brute_force_mis,
     class_patterns,
@@ -27,7 +26,6 @@ from augmis import (
     find_tree_extension,
     gen_free_random,
     hall_surplus_check,
-    is_augmenting,
     is_irreducible,
     line_graph,
     max_matching_size,
@@ -38,6 +36,8 @@ from augmis import (
     verify_min_classes,
 )
 from augmis.enumeration import grow_bicolored_raw, grow_graphs
+from augmis.finders import augments
+from augmis.graphs import mask_of
 from augmis.io import format_catalog
 from augmis.verify import (
     spider_free_bipartite_corpus,
@@ -175,8 +175,9 @@ def test_criterion_7_planted_extensions():
         )
         cand = find_tree_extension(g, s, p)
         assert cand is not None, seed
-        assert is_augmenting(g, s, cand), seed
-        bigger = augment(g, s, cand)
+        wmask, bmask = mask_of(cand.whites), mask_of(cand.blacks)
+        assert augments(g.adj, mask_of(s), wmask, bmask), seed
+        bigger = (s - cand.whites) | cand.blacks
         assert len(bigger) == len(s) + 1
         assert brute_force_mis(g).alpha == len(s) + 1, seed
     _report(7, "planted extensions", "200 seeded instances, 100% found")

@@ -34,8 +34,6 @@ from augmis import (
     find_from_catalog,
     find_tree_extension,
     gen_free_random,
-    greedy_initial,
-    is_augmenting,
     line_graph,
     path_graph,
     plant_augmenting_tree,
@@ -50,7 +48,13 @@ from augmis.irreducible import Catalog
 from augmis.graphs import bits, mask_of, set_of
 from augmis.solver import SolveConfig, class_patterns
 import conftest
-from conftest import graphs_st, induced_subgraph
+from conftest import (
+    graphs_st,
+    greedy_initial,
+    induced_subgraph,
+    is_augmenting,
+    verdict,
+)
 
 
 def is_path_shape(g: Graph) -> bool:
@@ -77,7 +81,7 @@ def oracle_augmenting_path_exists(g: Graph, s) -> bool:
         for whites in combinations(s_list, k):
             for blacks in combinations(rest, k + 1):
                 cand = AugCandidate(frozenset(whites), frozenset(blacks), "x")
-                if not is_augmenting(g, s, cand):
+                if not verdict(g, s, cand):
                     continue
                 sub, _ = induced_subgraph(g, frozenset(whites) | frozenset(blacks))
                 if is_path_shape(sub):
@@ -95,30 +99,35 @@ def oracle_augmenting_exists(g: Graph, s, max_vertices: int) -> bool:
         for whites in combinations(s_list, k):
             for blacks in combinations(rest, k + 1):
                 cand = AugCandidate(frozenset(whites), frozenset(blacks), "x")
-                if is_augmenting(g, s, cand):
+                if verdict(g, s, cand):
                     return True
     return False
 
 
-def test_is_augmenting_examples():
+def test_augments_examples():
     e = Graph(2, [(0, 1)])
-    assert not is_augmenting(e, {0}, AugCandidate(frozenset({0}), frozenset({1}), "x"))
+    assert not verdict(e, {0}, AugCandidate(frozenset({0}), frozenset({1}), "x"))
     p3 = path_graph(3)
-    assert is_augmenting(p3, {1}, AugCandidate(frozenset({1}), frozenset({0, 2}), "x"))
+    assert verdict(p3, {1}, AugCandidate(frozenset({1}), frozenset({0, 2}), "x"))
     k13 = complete_bipartite(1, 3)
-    assert not is_augmenting(
+    assert not verdict(
         k13, {1, 2, 3}, AugCandidate(frozenset({1, 2}), frozenset({0}), "x")
     )
 
 
-def test_is_augmenting_precondition_errors():
+def test_augments_is_false_on_precondition_breaches():
+    # where the set-based reference raises, the mask verdict says no
     p3 = path_graph(3)
-    with pytest.raises(ValueError):
-        is_augmenting(p3, {0, 1}, AugCandidate(frozenset(), frozenset({2}), "x"))
-    with pytest.raises(ValueError):
-        is_augmenting(p3, {1}, AugCandidate(frozenset({0}), frozenset({2}), "x"))
-    with pytest.raises(ValueError):
-        is_augmenting(p3, {1}, AugCandidate(frozenset({1}), frozenset({1}), "x"))
+    cases = [
+        ({0, 1}, set(), {2}),  # S not independent: black 2 sees 1
+        ({1}, {0}, {2}),  # a white outside S
+        ({1}, {1}, {1}),  # a black inside S
+    ]
+    for s, whites, blacks in cases:
+        cand = AugCandidate(frozenset(whites), frozenset(blacks), "x")
+        with pytest.raises(ValueError):
+            is_augmenting(p3, s, cand)
+        assert verdict(p3, s, cand) is False
 
 
 def test_mask_verdict_matches_is_augmenting(class_graphs7):
@@ -126,7 +135,7 @@ def test_mask_verdict_matches_is_augmenting(class_graphs7):
     # graphs, on maximal sets and on sets with free vertices; half of the
     # draws take blacks only from vertices with no S-neighbour outside
     # the whites, so both verdicts occur often.  Candidates that break a
-    # precondition of is_augmenting are covered in test_solver.
+    # precondition of is_augmenting are covered above and in test_solver.
     rnd = random.Random(13)
     class_pats = [Pattern("S", (1, 1, 3)), Pattern("K", (3, 3))]
     graphs = class_graphs7[::9] + [
@@ -270,7 +279,7 @@ def test_path_candidates_are_chordless_even_paths():
         c = find_augmenting_path(g, s)
         if c is None:
             continue
-        assert is_augmenting(g, s, c)
+        assert verdict(g, s, c)
         sub, _ = induced_subgraph(g, c.whites | c.blacks)
         assert is_path_shape(sub)
         assert sub.num_edges % 2 == 0
@@ -288,7 +297,7 @@ def test_path_finder_matches_oracle(g, rnd):
     got = find_augmenting_path(g, s)
     assert (got is not None) == oracle_augmenting_path_exists(g, s)
     if got is not None:
-        assert is_augmenting(g, s, got)
+        assert verdict(g, s, got)
 
 
 def test_tree_extension_examples():
@@ -308,7 +317,7 @@ def test_tree_extension_candidate_contains_big_star():
 
     g, s = plant_augmenting_tree(PlantSpec(k=5, p=3, extras=2, seed=3))
     c = find_tree_extension(g, s, 3)
-    assert c is not None and is_augmenting(g, s, c)
+    assert c is not None and verdict(g, s, c)
     sub, _ = induced_subgraph(g, c.whites | c.blacks)
     assert find_induced(sub, Pattern("T", (5,))) is not None
 
@@ -370,13 +379,16 @@ def tree_reference_corpus():
 
 def test_tree_extension_matches_reference(monkeypatch):
     # the (Q1, Q2, centre, middles) of every triple that passes the
-    # centre tests, in scan order
+    # centre tests, in scan order, and the leaves picked for it: the
+    # finder picks from a pool cut by S-degree, the reference from all
+    # of R
     trace = []
 
     def recording(pick):
         def rec(adj, r_list, ns_of, smask, q1mask, q2mask, u, a0):
-            trace.append((q1mask, q2mask, u, a0))
-            return pick(adj, r_list, ns_of, smask, q1mask, q2mask, u, a0)
+            leaves = pick(adj, r_list, ns_of, smask, q1mask, q2mask, u, a0)
+            trace.append((q1mask, q2mask, u, a0, leaves))
+            return leaves
         return rec
 
     monkeypatch.setattr(finders, "_pick_leaves", recording(finders._pick_leaves))
@@ -440,7 +452,7 @@ def test_catalog_finder_matches_oracle(seed, rnd):
     if find_augmenting_path(g, s) is None:
         assert (got is not None) == oracle_augmenting_exists(g, s, 7)
     if got is not None:
-        assert is_augmenting(g, s, got)
+        assert verdict(g, s, got)
 
 
 def test_finders_are_deterministic():
@@ -524,7 +536,7 @@ def test_catalog_finder_matches_reference_backtracker(solver_catalog9):
                 if got is None:
                     misses += 1
                     continue
-                assert is_augmenting(g, s, got)
+                assert verdict(g, s, got)
                 hits += 1
                 first = first or entry.code
             # both scan entries in catalogue order, so the whole
@@ -817,7 +829,7 @@ def test_fit_index_admits_what_the_count_check_admits(
             got = find_from_catalog(g, s, solver_catalog9, state)
             assert (got and got.detail) == want
             if got is not None:
-                assert is_augmenting(g, s, got)
+                assert verdict(g, s, got)
                 hits += 1
     assert admitted and hits
 

@@ -10,7 +10,6 @@ from augmis import (
     complete_graph,
     find_tree_extension,
     gen_free_random,
-    is_augmenting,
     is_free,
     is_independent,
     line_graph,
@@ -19,7 +18,7 @@ from augmis import (
     plant_augmenting_tree,
 )
 from augmis.instances import GenerationError
-from conftest import graphs_st, petersen
+from conftest import graphs_st, petersen, verdict
 
 
 def test_line_graph_examples():
@@ -127,7 +126,7 @@ def test_plant_grid(k, p, extras):
         assert is_free(g, [Pattern("S", (1, 1, 3)), Pattern("K", (p, p))])
         assert brute_force_mis(g).alpha == len(s) + 1
         cand = find_tree_extension(g, s, p)
-        assert cand is not None and is_augmenting(g, s, cand)
+        assert cand is not None and verdict(g, s, cand)
 
 
 def test_plant_noise_keeps_guarantees():

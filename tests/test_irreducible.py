@@ -13,7 +13,6 @@ from augmis import (
     ColoredBipartite,
     Graph,
     Pattern,
-    bicolored,
     bipartite_ramsey_search,
     cycle_graph,
     enumerate_irreducible,
@@ -28,6 +27,7 @@ from augmis.enumeration import grow_bicolored_raw
 from augmis.graphs import connected_components
 from augmis.irreducible import SearchBudgetError, decode_catalog_code
 from conftest import (
+    bicolored,
     bipartition,
     canonical_code,
     max_bipartite_matching,
