@@ -108,8 +108,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     run_args = {"graph": args.graph, "p": args.p, "catalog_n_max": args.catalog_n_max}
     hit = find_forbidden(g, class_patterns(cfg.p)) if args.validate_class else None
     if hit is not None:
-        # out of class: report the witness and stop, since the solve may
-        # take super-polynomial time there (K(n,n) for instance)
+        # out of class: report the witness and stop, since the solve's
+        # guarantees hold only in the class (a plain solve of K(n,n)
+        # returns one side at once, but other inputs may run long)
         pat, emb = hit
         violations = [
             {"pattern": str(pat), "embedding": {str(k): v for k, v in emb.items()}}

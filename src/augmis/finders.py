@@ -215,21 +215,24 @@ def find_tree_extension(
 
     Cost: a miss visits every triple, sum over m <= 2p of
     C(|S|, m)·C(|R|, m) pairs (Q1, Q2) with R = V - S, which is
-    O(|S|^{2p}·|R|^{2p}), each tried against every centre.  For m >= 1
-    the vertices outside S are held as (bit, adjacency, S-neighbourhood)
-    tuples, so Q2's mask and S-neighbourhood are built as the
-    combination is read and the build stops at the first member adjacent
-    to an earlier one; a centre is tested against its closed
-    neighbourhood.  A leaf has one S-neighbour outside Q1, so at most
-    m + 1 in all: at |Q1| = m the leaves are picked from the vertices
-    outside S with 1 to m + 1 S-neighbours, ascending, a pool built when
-    the scan first reaches m.  Measured misses (medians of 3, 2 shared
-    cores, Python 3.11.7) on K(1,5) + P(L) with S maximum: 0.07 s at
-    n = 20, 0.8 s at n = 24, 7.9 s at n = 28.  On K(n,n) with S one
-    side, which is outside the class for n >= p, every vertex outside S
-    is a centre and almost every triple reaches the leaf pick, whose
-    pools are empty: 0.23-0.27 s at n = 9, 1.2-1.5 s at n = 10 and
-    22 s at n = 12.
+    O(|S|^{2p}·|R|^{2p}), each tried against every centre.  A leaf has
+    one S-neighbour outside Q1, so at most m + 1 in all: at |Q1| = m the
+    leaves are picked from the level's pool, the vertices outside S with
+    1 to m + 1 S-neighbours, ascending.  Every middle needs a leaf, so a
+    level whose pool is empty is skipped whole, m = 0 included.  For
+    m >= 1 the scan first lists (mask, S-neighbourhood) of every
+    independent m-subset Q2 of R, in combination order, built from
+    per-vertex (bit, adjacency, S-neighbourhood) tuples and stopped at
+    the first member adjacent to an earlier one; each Q1 then walks that
+    list.  The list holds at most C(|R|, m) pairs, one level at a time,
+    and never more than the pairs the level then visits.  A centre is
+    tested against its closed neighbourhood.  Measured misses (medians
+    of 3, 2 shared cores, Python 3.11.7) on K(1,5) + P(L) with S
+    maximum: 0.013 s at n = 20, 0.15 s at n = 24, 1.3 s at n = 28.  On
+    K(n,n) with S one side, which is outside the class for n >= p,
+    every vertex outside S is a centre, but from n = 2p + 2 on no level
+    has a leaf in its pool: at p = 3 a miss takes under 1 ms from n = 8
+    up to n = 256.
 
     ``s`` and ``state`` are as in ``find_augmenting_path``.
     """
@@ -259,12 +262,15 @@ def find_tree_extension(
             return AugCandidate(set_of(wmask), set_of(bmask), "tree_extension")
         return None
 
-    # m = 0: Q1 and Q2 are empty, and every centre has at least p+2 middles
+    # Every centre has at least p+2 middles and each middle needs a leaf
+    # from the level's pool, so a level whose pool is empty has no hit.
+    # m = 0: Q1 and Q2 are empty
     pool = list(bits(by_degree[1]))
-    for u in centres:
-        hit = extension(pool, 0, 0, u, ns_of[u])
-        if hit is not None:
-            return hit
+    if pool:
+        for u in centres:
+            hit = extension(pool, 0, 0, u, ns_of[u])
+            if hit is not None:
+                return hit
 
     # m >= 1, on the precomputed tuples
     r_info = [(1 << v, adj[v], ns_of[v]) for v in r_list]
@@ -272,29 +278,37 @@ def find_tree_extension(
     c_info = [(u, adj[u] | 1 << u, ns_of[u]) for u in centres]
     for m in range(1, min(2 * p, len(s_bits), len(r_info)) + 1):
         pool = list(bits(reduce(or_, by_degree[1 : m + 2])))
+        if not pool:
+            continue
+        # Q2's mask and S-neighbourhood do not depend on Q1: list them
+        # once per level, for the independent m-subsets of R in
+        # combination order
+        q2s = []
+        for q2 in combinations(r_info, m):
+            # adjacency is symmetric, so each member is checked against
+            # the earlier ones only
+            q2mask = ns_q2 = 0
+            for bit, nbrs, ns in q2:
+                if nbrs & q2mask:
+                    break
+                q2mask |= bit
+                ns_q2 |= ns
+            else:
+                q2s.append((q2mask, ns_q2))
         for q1 in combinations(s_bits, m):
             q1mask = reduce(or_, q1)
-            for q2 in combinations(r_info, m):
-                # adjacency is symmetric, so each member is checked
-                # against the earlier ones only
-                q2mask = ns_q2 = 0
-                for bit, nbrs, ns in q2:
-                    if nbrs & q2mask:
-                        break
-                    q2mask |= bit
-                    ns_q2 |= ns
-                else:
-                    for u, closed, ns_u in c_info:
-                        if closed & q2mask:
-                            continue
-                        a0 = ns_u & ~q1mask
-                        if a0.bit_count() < k_min:
-                            continue
-                        if ns_q2 & ~(ns_u | q1mask):
-                            continue
-                        hit = extension(pool, q1mask, q2mask, u, a0)
-                        if hit is not None:
-                            return hit
+            for q2mask, ns_q2 in q2s:
+                for u, closed, ns_u in c_info:
+                    if closed & q2mask:
+                        continue
+                    a0 = ns_u & ~q1mask
+                    if a0.bit_count() < k_min:
+                        continue
+                    if ns_q2 & ~(ns_u | q1mask):
+                        continue
+                    hit = extension(pool, q1mask, q2mask, u, a0)
+                    if hit is not None:
+                        return hit
     return None
 
 

@@ -65,10 +65,14 @@ def test_solve_class_violation_exit_code(capsys):
     code, out, err = run(capsys, "solve", "S1x1x4", "--validate-class")
     assert code == 2 and out == ""
     assert err.startswith("violation S1x1x3\nmanifest: ")
-    # K(256,256) is out of class too; its solve would not finish
+    # K(256,256) is out of class too: validation stops before the solve,
+    # and a plain solve finishes with the greedy side
     code, out, _ = run(capsys, "solve", "K256x256", "--validate-class", "--json")
     assert code == 2
     assert json.loads(out)["violations"][0]["pattern"] == "K3x3"
+    code, out, _ = run(capsys, "solve", "K256x256", "--json")
+    assert code == 0
+    assert json.loads(out)["alpha"] == 256
     # without validation the same input exits 0
     code, _, _ = run(capsys, "solve", "S1x1x4", "--json")
     assert code == 0

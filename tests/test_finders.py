@@ -367,13 +367,19 @@ def tree_reference_corpus():
             g = gen_free_random(12, 0.3, class_patterns(p), seed)
             greedy = greedy_initial(g)
             out += [(g, greedy, p), (g, greedy - {min(greedy)}, p)]
-        for n in range(2, 7):
+        # K(n,n) with S one side: out of class, every vertex outside S a
+        # centre with n S-neighbours, so a level m < n - 1 has an empty
+        # leaf pool, and from n = 2p + 2 on every level does
+        for n in range(2, 10):
             out.append((complete_bipartite(n, n), frozenset(range(n)), p))
         out.append((dependent_leaves_star(), frozenset(range(1, 6)), p))
         # two disjoint T(5): both centres hit, and the lower one is returned
         t5 = subdivided_star(5)
         twin = Graph(22, [(u + d, v + d) for u, v in t5.edges() for d in (0, 11)])
         out.append((twin, frozenset(range(1, 6)) | frozenset(range(12, 17)), p))
+    # K(1,5) + P(15), the benchmark's 20-vertex certification
+    edges = [(0, i) for i in range(1, 6)] + [(i, i + 1) for i in range(6, 19)]
+    out.append((relabelled(Graph(20, edges), rnd), None, 3))
     return out
 
 
@@ -381,7 +387,10 @@ def test_tree_extension_matches_reference(monkeypatch):
     # the (Q1, Q2, centre, middles) of every triple that passes the
     # centre tests, in scan order, and the leaves picked for it: the
     # finder picks from a pool cut by S-degree, the reference from all
-    # of R
+    # of R.  The finder skips a level |Q1| = m whose pool (the vertices
+    # outside S with 1 to m + 1 S-neighbours) is empty, so its calls
+    # there are dropped from the reference trace, and each must have
+    # found no leaves
     trace = []
 
     def recording(pick):
@@ -401,7 +410,15 @@ def test_tree_extension_matches_reference(monkeypatch):
         seen = trace[:]
         trace.clear()
         assert got == conftest.reference_tree_extension(g, s, p, state)
-        assert seen == trace
+        by_degree = (state or finders.round_state(g, s)).by_degree
+        kept = []
+        for call in trace:
+            if any(by_degree[1 : call[0].bit_count() + 2]):
+                kept.append(call)
+            else:
+                assert call[4] is None
+                outcomes["empty pool"] += 1
+        assert seen == kept
         if got is None:
             outcomes["miss"] += 1
         else:
@@ -415,8 +432,10 @@ def test_tree_extension_matches_reference(monkeypatch):
             solve_mis(g, SolveConfig(p=p))
         else:
             checked(g, s, p)
-    # misses, hits with empty Q1 and Q2, and hits with m >= 1
+    # misses, hits with empty Q1 and Q2, hits with m >= 1, and skipped
+    # levels
     assert outcomes["miss"] and outcomes["hit", 0] and outcomes["hit", 1]
+    assert outcomes["empty pool"]
 
 
 def test_catalog_finder_examples(solver_catalog9):
