@@ -24,6 +24,13 @@ leaf with the best encoding is the image of the first one under exactly
 one automorphism, and the leaves below a skipped twin are the images of
 its tried twin's leaves under their transposition.  The search itself
 is the same with or without the list, so the code is too.
+
+The code of a graph on n vertices is the byte n, then its payload, an
+int written little-endian in ceil(n/8) + ceil(n(n-1)/16) bytes: bit i,
+for i < n, is vertex i's colour (1 for any non-zero colour), padded with
+zeros to whole bytes, then bit i(i-1)/2 + j is set when j < i are
+adjacent.  ``_encode`` and ``_decode`` are the one writer and the one
+reader of the payload; ``enumeration`` stores its levels as payloads.
 """
 
 from __future__ import annotations
@@ -68,8 +75,6 @@ def canon_code(
     """
     if n > MAX_CANON_VERTICES:
         raise ValueError(f"canonical codes support at most {MAX_CANON_VERTICES} vertices")
-    if n == 0:
-        return b"\x00"
     cols = tuple(colors) if colors is not None else (0,) * n
     nbrs = []
     for v in range(n):
@@ -150,42 +155,46 @@ def canon_code(
     return _pack(n, sorted(cols), best)
 
 
-def _pack(n: int, ordered_cols: list[int], rows: tuple[int, ...]) -> bytes:
-    out = bytearray([n])
-    col_bytes = bytearray((n + 7) // 8)
-    for i, c in enumerate(ordered_cols):
-        if c:
-            col_bytes[i // 8] |= 1 << (i % 8)
-    out += col_bytes
-    nbits = n * (n - 1) // 2
-    tri = bytearray((nbits + 7) // 8)
-    for i in range(n):
-        base = i * (i - 1) // 2
-        r = rows[i]
-        while r:
-            low = r & -r
-            j = low.bit_length() - 1
-            r ^= low
-            k = base + j
-            tri[k // 8] |= 1 << (k % 8)
-    out += tri
-    return bytes(out)
+def _encode(n: int, cols: Sequence[int], rows: Sequence[int]) -> int:
+    """The payload of colours ``cols`` and rows ``rows``; only the bits
+    of row i below i are read."""
+    x = 0
+    for i in range(n - 1, 0, -1):
+        x = x << i | rows[i] & ((1 << i) - 1)
+    return x << 8 * ((n + 7) // 8) | sum(1 << i for i, c in enumerate(cols) if c)
+
+
+def _decode(n: int, x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Adjacency masks and colours of the payload ``x``."""
+    cols = tuple(x >> i & 1 for i in range(n))
+    x >>= 8 * ((n + 7) // 8)
+    adj = [0] * n
+    for i in range(1, n):
+        below = x & ((1 << i) - 1)
+        x >>= i
+        adj[i] |= below
+        while below:
+            b = below & -below
+            below ^= b
+            adj[b.bit_length() - 1] |= 1 << i
+    return tuple(adj), cols
+
+
+def _payload_len(n: int) -> int:
+    return (n + 7) // 8 + (n * (n - 1) // 2 + 7) // 8
+
+
+def _pack(n: int, cols: Sequence[int], rows: Sequence[int]) -> bytes:
+    return bytes([n]) + _encode(n, cols, rows).to_bytes(_payload_len(n), "little")
 
 
 def decode_code(code: bytes) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Inverse of canon_code: (n, adjacency masks, colours)."""
+    """Inverse of canon_code: (n, adjacency masks, colours).
+
+    Bytes past the payload are ignored; a code too short for its vertex
+    count raises ValueError.
+    """
+    if not code or len(code) <= _payload_len(code[0]):
+        raise ValueError("code too short for its vertex count")
     n = code[0]
-    ncol = (n + 7) // 8
-    cols = tuple(
-        (code[1 + i // 8] >> (i % 8)) & 1 for i in range(n)
-    )
-    tri = code[1 + ncol:]
-    masks = [0] * n
-    for i in range(n):
-        base = i * (i - 1) // 2
-        for j in range(i):
-            k = base + j
-            if (tri[k // 8] >> (k % 8)) & 1:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return n, tuple(masks), cols
+    return (n, *_decode(n, int.from_bytes(code[1 : 1 + _payload_len(n)], "little")))

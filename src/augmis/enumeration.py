@@ -1,10 +1,10 @@
 """Exhaustive generation of small graphs, one per isomorphism class.
 
 All three generators run one level-wise loop, ``_grow``: each level is a
-dict from canonical code to the first representative seen, packed into
-one int, and the children of every representative are formed by adding
-``step`` fresh vertices.  Each child goes through four steps, cheapest
-first:
+dict from canonical code to the first representative seen, stored as
+the payload of a code (the layout is in the ``canonical`` docstring),
+and the children of every representative are formed by adding ``step``
+fresh vertices.  Each child goes through four steps, cheapest first:
 
 1. the orbit skip: a child whose fresh rows and colours an automorphism
    of its parent maps onto those of an earlier child of the same parent
@@ -52,46 +52,16 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .canonical import canon_code
+from .canonical import _decode, _encode, canon_code
 from .graphs import Graph, component_mask, two_colouring
 from .patterns import PatternLike, _as_graph, _compile, _contains_anchored
 
 __all__ = ["grow_graphs", "grow_bicolored_raw", "grow_balanced_bicolored_raw"]
 
 Adj = tuple[int, ...]
-Cols = Optional[tuple[int, ...]]
+Cols = tuple[int, ...]
 Raw = tuple[int, Adj, Cols]
 Gens = tuple[tuple[int, ...], ...]
-
-
-def _pack(n: int, adj: Adj, cols: Cols) -> int:
-    """One int per stored graph: the colour bits of a coloured graph,
-    then each row's bits below its own vertex, row i at i(i-1)/2 above
-    them."""
-    x = 0
-    for i in range(n - 1, 0, -1):
-        x = x << i | adj[i] & ((1 << i) - 1)
-    if cols is not None:
-        for c in reversed(cols):
-            x = x << 1 | c
-    return x
-
-
-def _unpack(n: int, x: int, coloured: bool) -> tuple[Adj, Cols]:
-    cols = None
-    if coloured:
-        cols = tuple(x >> i & 1 for i in range(n))
-        x >>= n
-    adj = [0] * n
-    for i in range(1, n):
-        below = x & ((1 << i) - 1)
-        x >>= i
-        adj[i] |= below
-        while below:
-            b = below & -below
-            below ^= b
-            adj[b.bit_length() - 1] |= 1 << i
-    return tuple(adj), cols
 
 
 def _orbit(rows: Adj, images: list[list[int]], low: int) -> set[Adj]:
@@ -129,16 +99,16 @@ def _grow(
 ) -> Iterator[Raw]:
     """Level-wise growth with canonical-code dedup per level.
 
-    ``seeds`` are single-vertex graphs, all uncoloured or all coloured 0/1.
-    Children go through the four steps of the module docstring; the codes
-    whose filter search fails are kept per level in ``rejected`` so that
-    no later child of the same class is searched again.  A level maps
-    each code, read as a big-endian int (all codes of one level have one
-    length, so the order is that of the bytes), to its packed
-    representative (see ``_pack``); the automorphism generators of the
-    representatives that will be grown further are kept beside it.  Each
-    level is yielded in ascending code order; nothing is yielded when
-    ``n_max`` is below 1.
+    ``seeds`` are single-vertex graphs coloured 0/1 (an uncoloured graph
+    is coloured all 0).  Children go through the four steps of the module
+    docstring; the codes whose filter search fails are kept per level in
+    ``rejected`` so that no later child of the same class is searched
+    again.  A level maps each code, read as a big-endian int (all codes of
+    one level have one length, so the order is that of the bytes), to its
+    representative's payload (see ``canonical``); the automorphism
+    generators of the representatives that will be grown further are kept
+    beside it.  Each level is yielded in ascending code order; nothing is
+    yielded when ``n_max`` is below 1.
     """
     if n_max < 1:
         return
@@ -165,14 +135,14 @@ def _grow(
         nxt_gens: dict[int, Gens] = {}
         rejected: set[int] = set()
         for pcode, packed in level.items():
-            padj, pcols = _unpack(pn, packed, coloured)
+            padj, pcols = _decode(pn, packed)
             gens = gens_of.get(pcode)
             if gens:
                 images = [[1 << q for q in p] for p in gens]
                 met: set = set()
             for adj, cols in children(padj, pcols):
                 if gens:
-                    key = cols[pn:] if coloured else None, adj[pn:]
+                    key = cols[pn:], adj[pn:]
                     if key in met:
                         continue
                     met.update((key[0], r) for r in _orbit(key[1], images, low))
@@ -183,7 +153,7 @@ def _grow(
                     if filtered(n, adj, fresh):
                         rejected.add(code)
                     else:
-                        nxt[code] = _pack(n, adj, cols)
+                        nxt[code] = _encode(n, cols, adj)
                         if autos:
                             nxt_gens[code] = tuple(autos)
                 if autos:
@@ -191,16 +161,14 @@ def _grow(
         return nxt, nxt_gens
 
     n = 1
-    seeds = list(seeds)
-    coloured = seeds[0][1] is not None
     level: dict[int, int] = {}
     for adj, cols in seeds:
         if (shape is None or shape(1, adj)) and not filtered(1, adj, range(1)):
-            level[int.from_bytes(canon_code(1, adj, cols), "big")] = _pack(1, adj, cols)
+            level[int.from_bytes(canon_code(1, adj, cols), "big")] = _encode(1, cols, adj)
     gens_of: dict[int, Gens] = {}
     while n + step <= n_max:
         for code in sorted(level):
-            yield (n, *_unpack(n, level[code], coloured))
+            yield (n, *_decode(n, level[code]))
         level, gens_of = grow(n, level, gens_of)
         n += step
     # the last level is never grown: its store is let go as it is yielded,
@@ -208,7 +176,7 @@ def _grow(
     reps = [level[code] for code in sorted(level, reverse=True)]
     del level
     while reps:
-        yield (n, *_unpack(n, reps.pop(), coloured))
+        yield (n, *_decode(n, reps.pop()))
 
 
 def grow_graphs(
@@ -227,17 +195,18 @@ def grow_graphs(
     def children(padj: Adj, _: Cols) -> Iterator[tuple[Adj, Cols]]:
         pn = len(padj)
         new_bit = 1 << pn
+        cols = (0,) * (pn + 1)
         for mask in range(1, 1 << pn):
             yield tuple(
                 padj[i] | new_bit if mask >> i & 1 else padj[i]
                 for i in range(pn)
-            ) + (mask,), None
+            ) + (mask,), cols
 
     def is_bipartite(n: int, adj: Adj) -> bool:
         return two_colouring(n, adj) is not None
 
     shape = is_bipartite if bipartite else None
-    for n, adj, _ in _grow(n_max, [((0,), None)], 1, children, shape, free_of):
+    for n, adj, _ in _grow(n_max, [((0,), (0,))], 1, children, shape, free_of):
         yield Graph.from_masks(n, adj)
 
 

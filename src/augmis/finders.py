@@ -178,9 +178,9 @@ def find_augmenting_path(
             )
         if pending & (pending - 1):
             continue  # two S-neighbours off the path: unfixable
+        # w has no chord to an earlier black: such a black's one S-neighbour
+        # off the path joined it, and ``pending`` excludes path whites
         w = pending.bit_length() - 1
-        if adj[w] & bmask != low:
-            continue  # w would chord an earlier black
         # unused blacks with no chord to a path black or an earlier white;
         # every path white is adjacent to a path black
         free_b = rmask & ~(bmask | bnbr | wnbr)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable
 
 from .graphs import MAX_VERTICES, Graph, bits, is_independent
@@ -35,18 +36,25 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     """Line graph of ``g`` plus the vertex -> original-edge map.
 
     Vertices are the edges of ``g`` in ascending (u, v) order; two are
-    adjacent exactly when the edges share an endpoint.
+    adjacent exactly when the edges share an endpoint.  The line graph
+    may have at most ``MAX_VERTICES`` vertices and as many edges, checked
+    before it is built.
     """
-    edge_list = tuple(g.edges())
-    if not edge_list:
+    n, m = g.num_edges, sum(d * (d - 1) // 2 for d in map(int.bit_count, g.adj))
+    if not n:
         raise ValueError("line graph needs at least one edge")
-    lg_edges = []
+    if max(n, m) > MAX_VERTICES:
+        raise ValueError(
+            f"line graph has {n} vertices and {m} edges; "
+            f"the cap is {MAX_VERTICES} of each"
+        )
+    edge_list = tuple(g.edges())
+    incident: list[list[int]] = [[] for _ in range(g.n)]
     for i, (a, b) in enumerate(edge_list):
-        for j in range(i + 1, len(edge_list)):
-            c, d = edge_list[j]
-            if a in (c, d) or b in (c, d):
-                lg_edges.append((i, j))
-    return Graph(len(edge_list), lg_edges), edge_list
+        incident[a].append(i)
+        incident[b].append(i)
+    lg_edges = (e for ids in incident for e in combinations(ids, 2))
+    return Graph(n, lg_edges), edge_list
 
 
 def max_matching_size(g: Graph) -> int:

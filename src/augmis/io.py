@@ -31,7 +31,6 @@ from .patterns import Pattern, is_free, parse_pattern
 
 __all__ = [
     "GraphFormatError",
-    "MAX_DIMACS_VERTICES",
     "parse_dimacs",
     "format_dimacs",
     "read_graph",
@@ -50,10 +49,6 @@ class GraphFormatError(ValueError):
         suffix = f" (line {line})" if line is not None else ""
         super().__init__(message + suffix)
         self.line = line
-
-
-# Largest vertex count a graph file may declare, checked at the header.
-MAX_DIMACS_VERTICES = MAX_VERTICES
 
 
 def parse_dimacs(text: str) -> Graph:
@@ -76,9 +71,9 @@ def parse_dimacs(text: str) -> Graph:
                 raise GraphFormatError("non-numeric problem line", lineno)
             if n < 0 or m < 0:
                 raise GraphFormatError("negative counts", lineno)
-            if n > MAX_DIMACS_VERTICES:
+            if n > MAX_VERTICES:
                 raise GraphFormatError(
-                    f"{n} vertices exceed the cap of {MAX_DIMACS_VERTICES}",
+                    f"{n} vertices exceed the cap of {MAX_VERTICES}",
                     lineno,
                 )
         elif fields[0] == "e":
@@ -210,7 +205,7 @@ def parse_catalog(text: str) -> Catalog:
         try:
             h = decode_catalog_code(code)
             canonical = canon_code(h.graph.n, h.graph.adj, h.colors())
-        except (IndexError, ValueError):
+        except ValueError:
             raise GraphFormatError("undecodable catalog code", lineno)
         if h.graph.n != n:
             raise GraphFormatError("entry size disagrees with code", lineno)

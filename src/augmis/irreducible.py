@@ -117,13 +117,17 @@ def is_irreducible(h: ColoredBipartite) -> bool:
     return hall_surplus_check(h)
 
 
-def decode_catalog_code(code: bytes) -> ColoredBipartite:
-    n, masks, cols = decode_code(code)
+def _from_masks(n: int, adj: Sequence[int], cols: Sequence[int]) -> ColoredBipartite:
+    """The graph with adjacency masks ``adj``, colour 0 white, 1 black."""
     return ColoredBipartite(
-        Graph.from_masks(n, masks),
+        Graph.from_masks(n, adj),
         frozenset(v for v in range(n) if not cols[v]),
         frozenset(v for v in range(n) if cols[v]),
     )
+
+
+def decode_catalog_code(code: bytes) -> ColoredBipartite:
+    return _from_masks(*decode_code(code))
 
 
 @dataclass(frozen=True)
@@ -166,12 +170,7 @@ def enumerate_irreducible(
         raise ValueError(f"n_max is capped at {MAX_ENUM_VERTICES}")
     entries = []
     for n, adj, cols in grow_balanced_bicolored_raw(n_max, free_of=filters):
-        h = ColoredBipartite(
-            Graph.from_masks(n, adj),
-            frozenset(v for v in range(n) if not cols[v]),
-            frozenset(v for v in range(n) if cols[v]),
-        )
-        if hall_surplus_check(h):
+        if hall_surplus_check(_from_masks(n, adj, cols)):
             # store the canonical representative so catalogues are
             # labelling-independent and round-trip through files exactly
             code = canon_code(n, adj, cols)

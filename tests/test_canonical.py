@@ -11,6 +11,7 @@ one is an automorphism, and together they generate the whole group.
 import random
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,12 +47,70 @@ def test_colored_invariance(g, rnd):
     assert canon_code(g.n, pmasks, pcols) == canon_code(g.n, g.adj, cols)
 
 
-@given(graphs_st(max_n=9))
-def test_decode_round_trip(g):
+@given(graphs_st(max_n=12), st.randoms(use_true_random=False))
+def test_decode_round_trip(g, rnd):
     code = canon_code(g.n, g.adj)
     n, masks, cols = decode_code(code)
     assert n == g.n and cols == (0,) * g.n
     assert canon_code(n, masks) == code
+    cols = [rnd.randint(0, 1) for _ in range(g.n)]
+    code = canon_code(g.n, g.adj, cols)
+    n, masks, dcols = decode_code(code)
+    assert n == g.n and dcols == tuple(sorted(cols))
+    assert canon_code(n, masks, dcols) == code
+
+
+def fixed_masks(n):
+    masks = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u * v + 3 * u + 5 * v) % 7 < 3:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+    return masks
+
+
+# codes of fixed_masks(n), uncoloured and with every third vertex black;
+# the sizes cross the colour-byte and edge-byte boundaries
+PINNED_CODES = {
+    8: ("08008220980f", "08e01202980f"),
+    9: ("090000b220084c0f", "09c001b240044c0f"),
+    16: (
+        "100000606985c7040a44a000348087f6a17e",
+        "1000fc0831080a849e0797580af00059b1e3",
+    ),
+    17: (
+        "11000000204018065540558528385366b4e057f04b",
+        "1100f801208140cc0a8e4bb07110849517550b5cb1",
+    ),
+    32: (
+        "2000000000004094aaaa9a7af4c33f4007e001e800e400e0018007003c00c00300"
+        "f82a014055804f2d008e2e801f5e007e80fe3f00e4ff0540fa5f0108ff3b00c0ff0f",
+        "200000e0ff2052958e0f1c5040033000ad0054e034c038f081fe02fa0b80ff8002"
+        "05a840413d78c8bf4008f8c011c08743005e0e03c07e300ff82604fe03f880fc067c",
+    ),
+}
+
+
+def test_pinned_codes():
+    for n, (plain, colored) in PINNED_CODES.items():
+        masks = fixed_masks(n)
+        cols = [1 if v % 3 == 0 else 0 for v in range(n)]
+        for hexcode, c in ((plain, None), (colored, cols)):
+            code = canon_code(n, masks, c)
+            assert code.hex() == hexcode, n
+            dn, dmasks, dcols = decode_code(code)
+            assert canon_code(dn, dmasks, dcols) == code
+
+
+def test_decode_code_length():
+    code = canon_code(9, fixed_masks(9), [v % 2 for v in range(9)])
+    # bytes past the payload are ignored
+    assert decode_code(code + b"\x00\xff") == decode_code(code)
+    # a code too short for its vertex count is rejected
+    for short in (b"", code[:-1], bytes.fromhex("07ab")):
+        with pytest.raises(ValueError):
+            decode_code(short)
 
 
 def brute_class_count(n):

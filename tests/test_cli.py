@@ -197,6 +197,8 @@ def test_named_graph_over_the_size_cap(capsys):
         ("solve", "P5", "--p", "100000"),  # the filters hold K(p,p)
         ("verify", "--lemma", "min-classes", "--t", "100000000"),
         ("gen", "--plant", "k=1000000000,p=3", "--seed", "1"),
+        # K(1,65535) is within both caps; its line graph K(65535) is not
+        ("gen", "--line-graph", "K1x65535"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "", argv

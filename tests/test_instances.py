@@ -7,6 +7,7 @@ from augmis import (
     Pattern,
     PlantSpec,
     brute_force_mis,
+    complete_bipartite,
     complete_graph,
     find_tree_extension,
     gen_free_random,
@@ -34,6 +35,17 @@ def test_line_graph_examples():
         line_graph(Graph(3))
 
 
+def test_line_graph_size_cap():
+    # K(1,362)'s line graph is K(362): 65341 edges, within the cap
+    lg, _ = line_graph(complete_bipartite(1, 362))
+    assert lg == complete_graph(362)
+    # K(363) has 65703 edges; K(257,257) has 66049 edges, so as many
+    # line-graph vertices
+    for g in (complete_bipartite(1, 363), complete_bipartite(257, 257)):
+        with pytest.raises(ValueError, match="the cap is 65536"):
+            line_graph(g)
+
+
 def test_line_graphs_are_claw_free():
     claw = Pattern("S", (1, 1, 1))
     for seed in range(10):
@@ -58,7 +70,17 @@ def test_matching_examples():
 def test_line_graph_alpha_equals_matching(g):
     if g.num_edges == 0:
         return
-    lg, _ = line_graph(g)
+    lg, edges = line_graph(g)
+    # two edges are adjacent exactly when they share an endpoint
+    assert lg == Graph(
+        len(edges),
+        [
+            (i, j)
+            for i in range(len(edges))
+            for j in range(i + 1, len(edges))
+            if set(edges[i]) & set(edges[j])
+        ],
+    )
     if lg.n > 20:
         return
     assert brute_force_mis(lg).alpha == max_matching_size(g)

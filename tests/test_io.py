@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given
 
 from augmis import Graph, Pattern, complete_bipartite, enumerate_irreducible
-from augmis.graphs import bits
+from augmis.graphs import MAX_VERTICES, bits
 import augmis.io as io_mod
 from augmis.canonical import _pack, decode_code
 from augmis.io import (
-    MAX_DIMACS_VERTICES,
     GraphFormatError,
     format_catalog,
     format_dimacs,
@@ -58,9 +57,9 @@ def test_dimacs_errors_carry_line_numbers(text, line):
 
 
 def test_dimacs_vertex_cap():
-    assert parse_dimacs(f"p edge {MAX_DIMACS_VERTICES} 0\n").n == MAX_DIMACS_VERTICES
+    assert parse_dimacs(f"p edge {MAX_VERTICES} 0\n").n == MAX_VERTICES
     # rejected at the header, before any per-vertex storage is allocated
-    for n in (MAX_DIMACS_VERTICES + 1, 100_000_000_000):
+    for n in (MAX_VERTICES + 1, 100_000_000_000):
         with pytest.raises(GraphFormatError) as err:
             parse_dimacs(f"c big\np edge {n} 0\n")
         assert err.value.line == 2 and "cap" in str(err.value)
