@@ -7,9 +7,10 @@ individualising each of its vertices in turn (skipping pairwise twins,
 which are swapped by an automorphism), refine again, and recurse.  Each
 leaf is a discrete partition, i.e. a vertex ordering; its code packs the
 colour sequence and the upper-triangular adjacency bits of the reordered
-graph.  Two graphs get the same code exactly when a colour-preserving
-isomorphism exists, and every code decodes back to a representative, so
-codes double as dictionary keys for isomorphism-free enumeration.
+graph.  Colours are 0 and 1.  Two graphs get the same code exactly when
+a colour-preserving isomorphism exists, and every code decodes back to a
+representative, so codes double as dictionary keys for isomorphism-free
+enumeration.
 
 Cell indices only ever split monotonically (refinement keys sort by old
 class first), so the colour blocks keep their relative order and the
@@ -27,10 +28,11 @@ is the same with or without the list, so the code is too.
 
 The code of a graph on n vertices is the byte n, then its payload, an
 int written little-endian in ceil(n/8) + ceil(n(n-1)/16) bytes: bit i,
-for i < n, is vertex i's colour (1 for any non-zero colour), padded with
-zeros to whole bytes, then bit i(i-1)/2 + j is set when j < i are
-adjacent.  ``_encode`` and ``_decode`` are the one writer and the one
-reader of the payload; ``enumeration`` stores its levels as payloads.
+for i < n, is vertex i's colour (0 or 1, the only colours ``canon_code``
+takes), padded with zeros to whole bytes, then bit i(i-1)/2 + j is set
+when j < i are adjacent.  ``_encode`` and ``_decode`` are the one writer
+and the one reader of the payload; ``enumeration`` stores its levels as
+payloads.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from typing import Optional, Sequence
 __all__ = ["canon_code", "decode_code", "MAX_CANON_VERTICES"]
 
 MAX_CANON_VERTICES = 32
+_COLOURS = frozenset((0, 1))
 
 
 def _rank(keys: list) -> list[int]:
@@ -72,10 +75,19 @@ def canon_code(
     ``p[v]``; they preserve adjacency and colours and generate the
     automorphism group (the identity is never appended, so a rigid graph
     leaves the list as it was).
+
+    Colours are 0 and 1 only: the code stores one bit per vertex, so a
+    third colour could not be told apart from 1.  Any other colour
+    raises ValueError.
     """
     if n > MAX_CANON_VERTICES:
         raise ValueError(f"canonical codes support at most {MAX_CANON_VERTICES} vertices")
-    cols = tuple(colors) if colors is not None else (0,) * n
+    if colors is None:
+        cols = (0,) * n
+    else:
+        cols = tuple(colors)
+        if not _COLOURS.issuperset(cols):
+            raise ValueError("canonical codes take colours 0 and 1 only")
     nbrs = []
     for v in range(n):
         m = adj[v]

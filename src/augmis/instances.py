@@ -89,7 +89,12 @@ def max_matching_size(g: Graph) -> int:
         memo[mask] = best
         return best
 
-    return nu((1 << g.n) - 1)
+    try:
+        return nu((1 << g.n) - 1)
+    finally:
+        # nu refers to itself through its closure cell, so the memo would
+        # otherwise live until the cyclic collector runs
+        memo.clear()
 
 
 def gen_free_random(

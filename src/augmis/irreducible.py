@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from .canonical import canon_code, decode_code
 from .enumeration import grow_balanced_bicolored_raw
-from .graphs import Graph, bits, connected_components, is_independent
+from .graphs import Graph, bits, connected_components, is_independent, mask_of
 from .patterns import Pattern
 
 __all__ = [
@@ -69,13 +69,15 @@ class ColoredBipartite:
         )
 
 
-def _matching_size(adj: Sequence[int], whites: Sequence[int], banned: int) -> int:
-    """Size of a maximum matching of ``whites`` into their neighbours
-    outside ``banned``, by Kuhn's augmenting paths."""
+def _saturating_matching(
+    adj: Sequence[int], whites: Sequence[int]
+) -> Optional[dict[int, int]]:
+    """A matching of every white into its neighbours, as white -> black,
+    by Kuhn's augmenting paths; None when no matching saturates them."""
     match_of: dict[int, int] = {}  # black -> white
 
     def try_assign(w: int, visited: set[int]) -> bool:
-        for b in bits(adj[w] & ~banned):
+        for b in bits(adj[w]):
             if b in visited:
                 continue
             visited.add(b)
@@ -85,8 +87,9 @@ def _matching_size(adj: Sequence[int], whites: Sequence[int], banned: int) -> in
         return False
 
     for w in whites:
-        try_assign(w, set())
-    return len(match_of)
+        if not try_assign(w, set()):
+            return None
+    return {w: b for b, w in match_of.items()}
 
 
 def hall_surplus_check(h: ColoredBipartite) -> bool:
@@ -94,18 +97,34 @@ def hall_surplus_check(h: ColoredBipartite) -> bool:
 
     Equivalent, without subset enumeration: after deleting any single
     black vertex the remaining graph still has a matching saturating W.
+    One matching M that saturates W settles every black at once.  A
+    black left free by M can go, since M survives.  A black b matched to
+    w can go iff w can be matched again, that is (Berge) iff an
+    alternating path leaves w by an edge outside M, returns to a white
+    along each edge of M, and ends at a black free in M.  Read from its
+    end, that path reaches b from a free black in steps "black, any
+    white neighbour, that white's partner in M".  So the surplus holds
+    iff M exists and those steps, taken from all free blacks at once,
+    reach every black.
     """
     whites = sorted(h.white)
     if not whites:
         return True
-    if not h.black:
-        return False
     adj = h.graph.adj
-    need = len(whites)
-    for b in sorted(h.black):
-        if _matching_size(adj, whites, 1 << b) < need:
-            return False
-    return True
+    mate = _saturating_matching(adj, whites)
+    if mate is None:
+        return False
+    blacks = mask_of(h.black)
+    reached = todo = blacks & ~mask_of(mate.values())
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        for w in bits(adj[low.bit_length() - 1]):
+            b = 1 << mate[w]
+            if not reached & b:
+                reached |= b
+                todo |= b
+    return reached == blacks
 
 
 def is_irreducible(h: ColoredBipartite) -> bool:

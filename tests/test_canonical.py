@@ -156,6 +156,14 @@ def test_colored_codes_separate_colors():
     )
 
 
+def test_colours_other_than_0_and_1_are_refused():
+    # one colour bit per vertex: (0, 1, 2) would code as (0, 1, 1), 030600
+    assert canon_code(3, [0, 0, 0], (0, 1, 1)).hex() == "030600"
+    for cols in ((0, 1, 2), (0, -1, 0), (0, 1, 1.5)):
+        with pytest.raises(ValueError, match="colours 0 and 1"):
+            canon_code(3, [0, 0, 0], cols)
+
+
 def test_highly_symmetric_graphs():
     # complete bipartite sides are twin-heavy; codes must stay exact
     from augmis import complete_bipartite, cycle_graph

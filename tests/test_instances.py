@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +66,23 @@ def test_matching_examples():
     assert max_matching_size(petersen()) == 5
     with pytest.raises(ValueError):
         max_matching_size(Graph(21))
+
+
+def test_matching_memo_is_freed_on_return():
+    # the memo dies with the call, without the cyclic collector
+    g = gen_free_random(20, 0.3, [], 3)
+    gc.disable()
+    try:
+        max_matching_size(g)
+        tracemalloc.start()
+        base, _ = tracemalloc.get_traced_memory()
+        for _ in range(5):
+            max_matching_size(g)
+        now, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert now - base < 8192
 
 
 @settings(max_examples=60)

@@ -3,7 +3,15 @@ from itertools import permutations
 import pytest
 from hypothesis import given
 
-from augmis import Graph, Pattern, complete_bipartite, enumerate_irreducible
+from augmis import (
+    ColoredBipartite,
+    Graph,
+    Pattern,
+    complete_bipartite,
+    enumerate_irreducible,
+    is_irreducible,
+    path_graph,
+)
 from augmis.graphs import MAX_VERTICES, bits
 import augmis.io as io_mod
 from augmis.canonical import _pack, decode_code
@@ -19,7 +27,7 @@ from augmis.io import (
     write_graph,
 )
 from augmis.solver import _CATALOG_DATA, _default_filters
-from conftest import graphs_st
+from conftest import bicolored, canonical_code, graphs_st
 
 
 @given(graphs_st(max_n=10))
@@ -177,6 +185,56 @@ def test_catalog_rejects_entries_above_n_max():
     text = format_catalog(enumerate_irreducible(5))
     with pytest.raises(GraphFormatError, match="above n_max"):
         parse_catalog(text.replace("c n_max 5", "c n_max 3"))
+
+
+def _entry_line(h: ColoredBipartite) -> str:
+    return f"{h.graph.n} {canonical_code(h).hex()} # x\n"
+
+
+def _with_entry(small: int, filters, h: ColoredBipartite) -> str:
+    """The catalogue up to ``small`` vertices under ``filters``, plus ``h``
+    as a last entry, with the bound and census headers made to agree."""
+    cat = enumerate_irreducible(small, filters)
+    n = h.graph.n
+    census = " ".join(f"{k}:{c}" for k, c in sorted(cat.census().items()))
+    return (
+        format_catalog(cat)
+        .replace(f"c n_max {small}", f"c n_max {n}")
+        .replace(f"c census {census}", f"c census {census} {n}:1")
+        + _entry_line(h)
+    )
+
+
+def test_catalog_rejects_entries_that_hold_a_filter():
+    # the alternately coloured P9 is irreducible and holds an induced P8
+    p9 = ColoredBipartite(
+        path_graph(9), frozenset(range(1, 9, 2)), frozenset(range(0, 9, 2))
+    )
+    assert is_irreducible(p9)
+    text = _with_entry(5, (Pattern("P", (8,)),), p9)
+    with pytest.raises(GraphFormatError, match="violates its filters") as err:
+        parse_catalog(text)
+    assert err.value.line == len(text.splitlines()) == 10
+    # the whites of K(3,4) and any three blacks form an induced K(3,3)
+    k34 = bicolored(3, 4, [(i, 3 + j) for i in range(3) for j in range(4)])
+    assert is_irreducible(k34)
+    text = _with_entry(5, (Pattern("K", (3, 3)),), k34)
+    with pytest.raises(GraphFormatError, match="violates its filters") as err:
+        parse_catalog(text)
+    assert err.value.line == len(text.splitlines()) == 10
+    # without the filter both files are accepted
+    for h in (p9, k34):
+        parse_catalog(_with_entry(5, (), h))
+
+
+def test_catalog_rejects_entries_without_hall_surplus():
+    # balanced and connected, but white 1 has black 2 as its one neighbour
+    h = bicolored(2, 3, [(0, 2), (0, 3), (0, 4), (1, 2)])
+    assert len(h.white) == len(h.black) - 1
+    text = _with_entry(3, (), h)
+    with pytest.raises(GraphFormatError, match="is not irreducible") as err:
+        parse_catalog(text)
+    assert err.value.line == len(text.splitlines()) == 7
 
 
 def _relabelled_codes(code):

@@ -91,6 +91,22 @@ def test_hall_matches_subset_oracle_small():
         assert hall_surplus_check(h) == oracle_hall_surplus(h)
         checked += 1
     assert checked == 2 + 4 + 8 + 17 + 38 + 94  # colored classes per size
+    # disconnected edge cases the grown graphs do not reach
+    edge_cases = [
+        # a white with no neighbour
+        (bicolored(2, 3, [(0, 2), (0, 3), (0, 4)]), False),
+        (bicolored(1, 3, []), False),
+        # an isolated black is free in every matching but no one's neighbour
+        (bicolored(1, 3, [(0, 1), (0, 2)]), True),
+        (bicolored(1, 2, [(0, 1)]), False),
+        (bicolored(2, 4, [(0, 2), (0, 3), (1, 3), (1, 4)]), True),
+        (bicolored(2, 4, [(0, 2), (1, 2), (0, 3)]), False),
+        # W empty: no subset to check
+        (bicolored(0, 0, []), True),
+        (bicolored(0, 3, []), True),
+    ]
+    for h, want in edge_cases:
+        assert hall_surplus_check(h) == oracle_hall_surplus(h) == want
 
 
 def test_is_irreducible_examples():

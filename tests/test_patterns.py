@@ -31,6 +31,8 @@ from augmis.enumeration import grow_graphs
 from augmis.patterns import (
     _Compiled,
     _compile,
+    _core,
+    _refused,
     _search,
     all_maximal_subdivided_stars,
 )
@@ -148,8 +150,9 @@ def test_find_induced_deterministic():
 
 
 def unpruned_find_induced(g: Graph, pat: Pattern):
-    """``find_induced`` without the twin pruning: the same plan and
-    engine, every candidate tried."""
+    """``find_induced`` without the twin pruning, the counting refusals
+    and the core domain: the same plan and engine, every host vertex a
+    candidate, every candidate tried."""
     plan = _compile(pat.build()).generic
     images = [0] * len(plan.order)
     g_deg = [m.bit_count() for m in g.adj]
@@ -182,6 +185,59 @@ def test_twin_pruning_returns_the_unpruned_embedding(g, sizes, closed, text):
     host = blow_up(g, sizes[: g.n], closed)
     pat = parse_pattern(text)
     assert find_induced(host, pat) == unpruned_find_induced(host, pat)
+
+
+REFUSAL_PATTERNS = [
+    "P3", "P4", "P5", "P6", "P7", "P8", "C4", "C5", "K4", "K2x2", "K3x3",
+    "S1x1x1", "S1x1x3", "T3",
+]
+
+
+def near_copy_host(rnd, p: Graph, slack: int) -> Graph:
+    """A host on p.n + slack vertices at a random density.  Half the time
+    it holds a relabelled copy of p with up to two vertex pairs flipped,
+    so the counts sit near their bounds on both sides."""
+    n = p.n + slack
+    d = rnd.random()
+    on = {(u, v): rnd.random() < d for u in range(n) for v in range(u + 1, n)}
+    if rnd.random() < 0.5:
+        img = rnd.sample(range(n), p.n)
+        for u, v in combinations(range(p.n), 2):
+            on[min(img[u], img[v]), max(img[u], img[v])] = p.has_edge(u, v)
+        for _ in range(rnd.randint(0, 2)):
+            pair = rnd.choice(sorted(on))
+            on[pair] = not on[pair]
+    return Graph(n, [e for e, hit in on.items() if hit])
+
+
+@settings(max_examples=400)
+@given(
+    st.sampled_from(REFUSAL_PATTERNS),
+    st.sampled_from([0, 1, 2, 5]),
+    st.randoms(use_true_random=False),
+)
+def test_counting_refusals_return_the_unrefused_embedding(text, slack, rnd):
+    pat = parse_pattern(text)
+    host = near_copy_host(rnd, pat.build(), slack)
+    assert find_induced(host, pat) == unpruned_find_induced(host, pat)
+
+
+def test_counting_refusals_on_irreducible_graphs(unfiltered_catalog9):
+    # the catalogue's filters and a few more on every irreducible graph up
+    # to 9 vertices; the counts settle most P8 and K3x3 tests with no search
+    refused = dict.fromkeys(("P8", "T5", "K3x3", "P6", "C6", "S1x1x3"), 0)
+    for e in unfiltered_catalog9.entries:
+        g = e.graph.graph
+        g_deg = [m.bit_count() for m in g.adj]
+        for text in refused:
+            pat = parse_pattern(text)
+            assert find_induced(g, pat) == unpruned_find_induced(g, pat)
+            degs = _compile(pat.build()).generic.degs
+            if len(degs) <= g.n:
+                _, core_deg = _core(g.adj, g_deg, degs[-1])
+                refused[text] += _refused(degs, core_deg)
+    assert len(unfiltered_catalog9) == 317
+    assert refused == {"P8": 211, "T5": 0, "K3x3": 229, "P6": 7, "C6": 52, "S1x1x3": 9}
 
 
 def test_twin_pruning_refutes_bicliques_at_once():
