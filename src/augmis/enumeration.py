@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .canonical import _decode, _encode, canon_code
 from .graphs import Graph, component_mask, two_colouring
-from .patterns import PatternLike, _as_graph, _compile, _contains_anchored
+from .patterns import PatternLike, _compile, _contains_anchored
 
 __all__ = ["grow_graphs", "grow_bicolored_raw", "grow_balanced_bicolored_raw"]
 
@@ -112,7 +112,7 @@ def _grow(
     """
     if n_max < 1:
         return
-    checks = [_compile(_as_graph(p)) for p in free_of]
+    checks = [_compile(p) for p in free_of]
 
     def filtered(n: int, adj: Adj, fresh: range) -> bool:
         if checks:

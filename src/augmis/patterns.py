@@ -6,12 +6,15 @@ A subdivided star of order k is the star on k edges with every edge
 subdivided once (2k+1 vertices).
 
 Detection is exact backtracking by one engine, ``_search``, over compiled
-plans.  ``find_induced`` places the pattern vertices by descending degree;
-the anchored plans that ask "is there a copy through host vertex v" start
-at a root and place next the vertex with the most placed neighbours.  The
-same engine finds the roots (one per automorphism orbit), so compiling a
-highly symmetric pattern such as K(10) stays cheap.  Worst-case
-exponential in the pattern size, which is fine at the sizes used here.
+plans.  Every plan places next the pattern vertex with the most placed
+neighbours, so each vertex of a connected pattern lands next to a placed
+one.  ``find_induced``'s plan starts at the least vertex of largest
+degree; the anchored plans that ask "is there a copy through host vertex
+v" start at a root.  The same engine finds the roots (one per
+automorphism orbit), so compiling a highly symmetric pattern such as
+K(10) stays cheap.  A pattern is compiled once, when first searched for.
+Worst-case exponential in the pattern size, which is fine at the sizes
+used here.
 
 Before it searches, ``find_induced`` refuses by counting.  Any copy of a
 pattern P on k vertices lies in the host's d-core, d the least degree of
@@ -19,10 +22,13 @@ P, so the search draws its candidates from that core, and the core is
 refused outright when it has fewer than k vertices, fewer edges than P,
 degrees (sorted) that do not dominate P's, or more surplus edges than
 the sum of its n - k largest degrees, the most that deleting the n - k
-vertices outside a copy can take away.  Each refusal only answers None
-where no copy exists, so every embedding found is the one the plain
-search finds.  On the 235 entries of the p = 3 catalogue, which checks
-P8, T5 and K(3,3) on each, the P8 search runs on 73 and K(3,3) on 9.
+vertices outside a copy can take away.  A core of exactly k + 1 vertices
+is refused unless deleting one of its vertices leaves P's sorted
+degrees, since every copy is then the core minus one vertex.  Each
+refusal only answers None where no copy exists, so every embedding found
+is the one the plain search finds.  On the 235 entries of the p = 3
+catalogue, which checks P8, T5 and K(3,3) on each, the P8 search runs on
+5 and K(3,3) on 9.
 """
 
 from __future__ import annotations
@@ -213,10 +219,6 @@ class _Plan:
         self.nonedge_js = tuple(nonedge_js)
 
 
-def _static_order(p: Graph) -> list[int]:
-    return sorted(range(p.n), key=lambda v: (-p.degree(v), v))
-
-
 def _anchored_order(p: Graph, first: int) -> list[int]:
     order = [first]
     placed = {first}
@@ -236,15 +238,19 @@ def _anchored_order(p: Graph, first: int) -> list[int]:
 
 
 class _Compiled:
-    __slots__ = ("n", "generic", "anchored")
+    __slots__ = ("n", "degs", "generic", "anchored")
 
     def __init__(self, p: Graph) -> None:
         self.n = p.n
-        self.generic = _Plan(p, _static_order(p))
+        deg = [m.bit_count() for m in p.adj]
+        self.degs = tuple(sorted(deg, reverse=True))
+        # the generic plan starts at the least vertex of largest degree and
+        # places every later vertex next to a placed one where it can
+        first = min(range(p.n), key=lambda v: (-deg[v], v), default=None)
+        self.generic = _Plan(p, [] if first is None else _anchored_order(p, first))
         # v is a root unless an earlier root's plan embeds p into itself
         # with v at position 0: that embedding is an automorphism, so the
         # roots are the least vertex of each orbit, in ascending order.
-        deg = [m.bit_count() for m in p.adj]
         full = (1 << p.n) - 1
         images = [0] * p.n
         anchored: list[_Plan] = []
@@ -259,14 +265,19 @@ class _Compiled:
         self.anchored = tuple(anchored)
 
 
-_COMPILE_CACHE: dict[tuple[int, tuple[int, ...]], _Compiled] = {}
+_COMPILE_CACHE: dict[object, _Compiled] = {}
 
 
-def _compile(p: Graph) -> _Compiled:
-    key = (p.n, p.adj)
+def _compile(pattern: PatternLike) -> _Compiled:
+    """The compiled plans of a pattern, built once per named pattern or
+    per graph."""
+    if isinstance(pattern, Pattern):
+        key: object = pattern
+    else:
+        key = (pattern.n, pattern.adj)
     c = _COMPILE_CACHE.get(key)
     if c is None:
-        c = _COMPILE_CACHE[key] = _Compiled(p)
+        c = _COMPILE_CACHE[key] = _Compiled(_as_graph(pattern))
     return c
 
 
@@ -397,16 +408,71 @@ def _refused(p_degs: tuple[int, ...], degs: list[int]) -> bool:
     return surplus > 2 * sum(degs[: len(degs) - k])
 
 
+def _one_out_refused(
+    g_adj: tuple[int, ...],
+    core: int,
+    core_deg: list[int],
+    p_degs: tuple[int, ...],
+) -> bool:
+    """For a core of exactly k + 1 vertices, k the pattern's size: True
+    unless deleting some core vertex leaves the pattern's degrees
+    ``p_degs`` (descending).
+
+    A copy is then the core minus one vertex v.  Deleting v takes away
+    deg(v) edges, so deg(v) is the edge surplus, and every core neighbour
+    of v loses one degree.
+    """
+    verts = list(bits(core))
+    surplus = (sum(core_deg) - sum(p_degs)) // 2
+    for i, v in enumerate(verts):
+        if core_deg[i] != surplus:
+            continue
+        nbrs = g_adj[v]
+        left = [
+            d - (nbrs >> u & 1)
+            for j, (u, d) in enumerate(zip(verts, core_deg))
+            if j != i
+        ]
+        if tuple(sorted(left, reverse=True)) == p_degs:
+            return False
+    return True
+
+
+def _find(
+    g: Graph, g_deg: list[int], pattern: PatternLike
+) -> Optional[dict[int, int]]:
+    if isinstance(pattern, Pattern):
+        k = _SIZES[pattern.kind](pattern.params)[0]
+    else:
+        k = pattern.n
+    if k == 0 or k > g.n:  # a pattern too large is not compiled
+        return None
+    c = _compile(pattern)
+    core, core_deg = _core(g.adj, g_deg, c.degs[-1])
+    if _refused(c.degs, core_deg):
+        return None
+    if len(core_deg) == c.n + 1 and _one_out_refused(g.adj, core, core_deg, c.degs):
+        return None
+    plan = c.generic
+    images = [0] * c.n
+    if _search(plan, g.adj, g_deg, (core,), images, 0, 0, _twins(g.adj)):
+        return {plan.order[i]: images[i] for i in range(c.n)}
+    return None
+
+
 def find_induced(g: Graph, pattern: PatternLike) -> Optional[dict[int, int]]:
     """Least induced embedding of the pattern into ``g``, or None.
 
     The returned map sends pattern vertices to g vertices; adjacency is
     preserved exactly in both directions.  Deterministic: the first
-    embedding in the backtracking order (pattern vertices by descending
-    degree, candidates ascending).  Twins of a host vertex that fails at
-    a position are skipped there, which returns the same embedding; a
-    K(n, n) host is then refuted for S(1,1,3) at once instead of in
-    order n^3 steps.
+    embedding in the backtracking order, candidates ascending.  The plan
+    places first the least pattern vertex of largest degree, then each
+    time the vertex with the most placed neighbours (ties: larger degree,
+    then smaller id), so every vertex of a connected pattern lands next
+    to a placed one and the candidates shrink at once.  Twins of a host
+    vertex that fails at a position are skipped there, which returns the
+    same embedding; a K(n, n) host is then refuted for S(1,1,3) at once
+    instead of in order n^3 steps.
 
     Every copy lies in the host's d-core, d the pattern's least degree,
     so the search draws its candidates from that core only.  The core is
@@ -415,20 +481,11 @@ def find_induced(g: Graph, pattern: PatternLike) -> Optional[dict[int, int]]:
     search, counts on the core refuse the pattern (see ``_refused``):
     too few vertices or edges, degrees that do not dominate the
     pattern's, or more surplus edges than the vertices outside a copy
-    can carry.
+    can carry.  A core of exactly k + 1 vertices, k the pattern's size,
+    is refused too unless deleting one of its vertices leaves the
+    pattern's degrees (see ``_one_out_refused``).
     """
-    p = _as_graph(pattern)
-    if p.n == 0 or p.n > g.n:
-        return None
-    plan = _compile(p).generic
-    g_deg = [m.bit_count() for m in g.adj]
-    core, core_deg = _core(g.adj, g_deg, plan.degs[-1])
-    if _refused(plan.degs, core_deg):
-        return None
-    images = [0] * p.n
-    if _search(plan, g.adj, g_deg, (core,), images, 0, 0, _twins(g.adj)):
-        return {plan.order[i]: images[i] for i in range(p.n)}
-    return None
+    return _find(g, [m.bit_count() for m in g.adj], pattern)
 
 
 def _contains_anchored(
@@ -456,8 +513,9 @@ def find_forbidden(
     g: Graph, patterns: Iterable[PatternLike]
 ) -> Optional[tuple[PatternLike, dict[int, int]]]:
     """First pattern with an induced copy in ``g``, plus its witness."""
+    g_deg = [m.bit_count() for m in g.adj]
     for p in patterns:
-        emb = find_induced(g, p)
+        emb = _find(g, g_deg, p)
         if emb is not None:
             return p, emb
     return None

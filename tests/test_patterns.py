@@ -5,6 +5,8 @@ definition (try every vertex subset of the right size, brute-force an
 isomorphism) and never shares code with the search under test.
 """
 
+import functools
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -32,6 +34,7 @@ from augmis.patterns import (
     _Compiled,
     _compile,
     _core,
+    _one_out_refused,
     _refused,
     _search,
     all_maximal_subdivided_stars,
@@ -39,6 +42,7 @@ from augmis.patterns import (
 from conftest import graphs_st, induced_subgraph
 
 
+@functools.lru_cache(maxsize=None)
 def brute_isomorphic(a: Graph, b: Graph) -> bool:
     if a.n != b.n or a.num_edges != b.num_edges:
         return False
@@ -153,7 +157,7 @@ def unpruned_find_induced(g: Graph, pat: Pattern):
     """``find_induced`` without the twin pruning, the counting refusals
     and the core domain: the same plan and engine, every host vertex a
     candidate, every candidate tried."""
-    plan = _compile(pat.build()).generic
+    plan = _compile(pat).generic
     images = [0] * len(plan.order)
     g_deg = [m.bit_count() for m in g.adj]
     if _search(plan, g.adj, g_deg, ((1 << g.n) - 1,), images, 0, 0):
@@ -225,19 +229,56 @@ def test_counting_refusals_return_the_unrefused_embedding(text, slack, rnd):
 def test_counting_refusals_on_irreducible_graphs(unfiltered_catalog9):
     # the catalogue's filters and a few more on every irreducible graph up
     # to 9 vertices; the counts settle most P8 and K3x3 tests with no search
-    refused = dict.fromkeys(("P8", "T5", "K3x3", "P6", "C6", "S1x1x3"), 0)
+    names = ("P8", "T5", "K3x3", "P6", "C6", "S1x1x3")
+    refused = dict.fromkeys(names, 0)
+    one_out = dict.fromkeys(names, 0)
     for e in unfiltered_catalog9.entries:
         g = e.graph.graph
         g_deg = [m.bit_count() for m in g.adj]
-        for text in refused:
+        for text in names:
             pat = parse_pattern(text)
             assert find_induced(g, pat) == unpruned_find_induced(g, pat)
-            degs = _compile(pat.build()).generic.degs
-            if len(degs) <= g.n:
-                _, core_deg = _core(g.adj, g_deg, degs[-1])
-                refused[text] += _refused(degs, core_deg)
+            degs = _compile(pat).degs
+            if len(degs) > g.n:
+                continue
+            core, core_deg = _core(g.adj, g_deg, degs[-1])
+            if _refused(degs, core_deg):
+                refused[text] += 1
+            elif len(core_deg) == len(degs) + 1:
+                one_out[text] += _one_out_refused(g.adj, core, core_deg, degs)
     assert len(unfiltered_catalog9) == 317
     assert refused == {"P8": 211, "T5": 0, "K3x3": 229, "P6": 7, "C6": 52, "S1x1x3": 9}
+    assert one_out == {"P8": 68, "T5": 0, "K3x3": 0, "P6": 8, "C6": 21, "S1x1x3": 2}
+
+
+def two_cycle_union(n: int, seed: int) -> Graph:
+    """The union of two seeded random Hamiltonian cycles on n vertices:
+    4-regular up to shared edges, and its line graph is claw-free."""
+    rnd = random.Random(seed)
+    edges = set()
+    for _ in range(2):
+        tour = rnd.sample(range(n), n)
+        for a, b in zip(tour, tour[1:] + tour[:1]):
+            edges.add((min(a, b), max(a, b)))
+    return Graph(n, sorted(edges))
+
+
+def test_line_graphs_of_cycle_unions_match_the_unpruned_search():
+    pats = [parse_pattern(t) for t in ("S1x1x3", "K3x3", "K2x2", "P8", "C6", "T3")]
+    for n in range(5, 21):
+        for seed in range(3):
+            lg, _ = line_graph(two_cycle_union(n, seed))
+            for pat in pats:
+                assert find_induced(lg, pat) == unpruned_find_induced(lg, pat)
+
+
+def test_generic_plans_are_connected():
+    # each vertex of a connected pattern is placed next to a placed one,
+    # so its candidates come from a placed image's neighbourhood
+    for text in ("K3x3", "K2x5", "K4x4", "S1x1x3", "T4", "P8", "C7", "K5"):
+        plan = _compile(parse_pattern(text)).generic
+        assert all(plan.edge_js[i] for i in range(1, len(plan.order))), text
+    assert _compile(parse_pattern("K3x3")).generic.order == (0, 3, 1, 4, 2, 5)
 
 
 def test_twin_pruning_refutes_bicliques_at_once():
@@ -257,9 +298,12 @@ def test_is_free_examples():
     assert is_free(path_graph(7), [Pattern("P", (8,))])
 
 
-@pytest.mark.parametrize("pat", [Pattern("S", (1, 1, 3)), Pattern("K", (3, 3))])
+@pytest.mark.parametrize(
+    "pat", [parse_pattern(t) for t in ("S1x1x3", "K3x3", "P5", "C5", "K2x3", "S1x1x2")]
+)
 def test_oracle_equivalence_exhaustive_n6(pat):
-    # every labelled graph on 6 vertices, against the subset oracle
+    # every labelled graph on 6 vertices, against the subset oracle; with
+    # a 5-vertex pattern this covers every core one vertex larger than it
     p = pat.build()
     for sel in range(1 << 15):
         edges = []
