@@ -3,27 +3,41 @@
 The certificate is the minimum adjacency encoding over the leaves of an
 individualisation-refinement tree: start from the equitable refinement
 of the (colour, degree) partition, split the first non-singleton cell by
-individualising each of its vertices in turn (skipping pairwise twins,
-which are swapped by an automorphism), refine again, and recurse.  Each
-leaf is a discrete partition, i.e. a vertex ordering; its code packs the
-colour sequence and the upper-triangular adjacency bits of the reordered
-graph.  Colours are 0 and 1.  Two graphs get the same code exactly when
-a colour-preserving isomorphism exists, and every code decodes back to a
-representative, so codes double as dictionary keys for isomorphism-free
-enumeration.
+individualising each of its vertices in turn, refine again, and recurse.
+Individualising v keeps v at its cell's index and moves its cell-mates
+and every later cell up by one.  Each leaf is a discrete partition, i.e.
+a vertex ordering; its code packs the colour sequence and the
+upper-triangular adjacency bits of the reordered graph.  Colours are 0
+and 1.  Two graphs get the same code exactly when a colour-preserving
+isomorphism exists, and every code decodes back to a representative, so
+codes double as dictionary keys for isomorphism-free enumeration.
 
 Cell indices only ever split monotonically (refinement keys sort by old
 class first), so the colour blocks keep their relative order and the
 colour sequence of every leaf is simply ``sorted(colours)``.
 
-The search meets automorphisms on its way, and a caller that passes an
-``autos`` list receives them: the transposition of each twin pair it
-skips, and, for every leaf whose encoding equals the best one, the
-permutation taking the first such leaf's ordering onto it.  Together
-they generate the whole colour-preserving automorphism group: every
-leaf with the best encoding is the image of the first one under exactly
-one automorphism, and the leaves below a skipped twin are the images of
-its tried twin's leaves under their transposition.  The search itself
+The search prunes by the automorphisms it meets (McKay & Piperno,
+"Practical graph isomorphism, II", J. Symb. Comput. 60, 2014).  It
+records the transposition of each twin pair of a target cell, and, for
+every leaf whose encoding ties with the best one so far, the
+permutation taking that best leaf's ordering onto it.  At a node whose
+individualised vertices form the prefix, a vertex of the target cell is
+skipped when the recorded automorphisms that fix every prefix vertex
+generate one that maps it onto a sibling already tried; a twin of a
+tried sibling is skipped once its transposition is recorded.  Such an
+automorphism fixes the node and maps the tried sibling's subtree onto
+the skipped one (refinement commutes with automorphisms), so every
+skipped leaf is the image of a searched leaf and has the same encoding:
+the minimum, and so the code, is that of the whole tree.
+
+A caller that passes an ``autos`` list receives the recorded
+automorphisms, each once.  They generate the whole colour-preserving
+automorphism group.  Every leaf with the best encoding is the image of
+the first such leaf under exactly one automorphism.  For a searched
+leaf, that automorphism was recorded when the leaf was met.  A skipped
+leaf is the image of a leaf in an earlier sibling's subtree under a
+product of recorded automorphisms, so by induction over the search
+order its automorphism is a product of recorded ones too.  The search
 is the same with or without the list, so the code is too.
 
 The code of a graph on n vertices is the byte n, then its payload, an
@@ -37,6 +51,7 @@ payloads.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Optional, Sequence
 
 __all__ = ["canon_code", "decode_code", "MAX_CANON_VERTICES"]
@@ -50,13 +65,20 @@ def _rank(keys: list) -> list[int]:
     return [lookup[k] for k in keys]
 
 
+def _root(up: list[int], x: int) -> int:
+    """The root of ``x`` in the union-find forest ``up``, halving the
+    path on the way."""
+    while up[x] != x:
+        up[x] = x = up[up[x]]
+    return x
+
+
 def _refine(n: int, nbrs: list[tuple[int, ...]], classes: list[int]) -> list[int]:
     while True:
-        keys = [
-            (classes[v], tuple(sorted(classes[u] for u in nbrs[v])))
-            for v in range(n)
-        ]
-        new = _rank(keys)
+        get = classes.__getitem__
+        new = _rank(
+            [(c, tuple(sorted(map(get, row)))) for c, row in zip(classes, nbrs)]
+        )
         if new == classes:
             return classes
         classes = new
@@ -102,20 +124,29 @@ def canon_code(
 
     best: Optional[tuple[int, ...]] = None
     best_order: list[int] = []
-    # the automorphisms met, in order and each once, when asked for
-    found: Optional[dict[tuple[int, ...], None]] = {} if autos is not None else None
+    # the automorphisms met, in order and each once, with the bitmask of
+    # the vertices each one moves
+    found: dict[tuple[int, ...], int] = {}
+
+    def record(perm: list[int]) -> None:
+        moved = 0
+        for v in range(n):
+            if perm[v] != v:
+                moved |= 1 << v
+        found.setdefault(tuple(perm), moved)
 
     def leaf(classes: list[int]) -> None:
         nonlocal best, best_order
-        order = sorted(range(n), key=classes.__getitem__)
-        pos = [0] * n
-        for i, v in enumerate(order):
-            pos[v] = i
+        # the partition is discrete, so each vertex's class is its
+        # position in the leaf's ordering
+        order = [0] * n
+        for v, i in enumerate(classes):
+            order[i] = v
         rows = []
         for i, v in enumerate(order):
             r = 0
             for u in nbrs[v]:
-                j = pos[u]
+                j = classes[u]
                 if j < i:
                     r |= 1 << j
             rows.append(r)
@@ -123,46 +154,66 @@ def canon_code(
         if best is None or cand < best:
             best = cand
             best_order = order
-        elif found is not None and cand == best:
+        elif cand == best:
             perm = [0] * n
             for v, u in zip(best_order, order):
                 perm[v] = u
-            found[tuple(perm)] = None
+            record(perm)
 
-    def descend(classes: list[int]) -> None:
-        cells: dict[int, list[int]] = {}
-        for v in range(n):
-            cells.setdefault(classes[v], []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = c
-                break
-        if target is None:
+    def descend(classes: list[int], prefix: int) -> None:
+        # class indices are dense, so the partition is discrete iff the
+        # largest index is n - 1
+        if max(classes, default=-1) == n - 1:
             leaf(classes)
             return
+        size = [0] * n
+        for c in classes:
+            size[c] += 1
+        target = 0
+        while size[target] == 1:
+            target += 1
         tried: list[int] = []
-        for v in cells[target]:
+        # the orbits of the automorphisms found so far that fix every
+        # vertex of the prefix, as a union-find forest over the vertices;
+        # the first ``merged`` of them are in it
+        up: list[int] = []
+        merged = 0
+        for v in [v for v, c in enumerate(classes) if c == target]:
+            if merged < len(found):
+                if not up:
+                    up = list(range(n))
+                for p, moved in islice(found.items(), merged, None):
+                    if not moved & prefix:
+                        while moved:
+                            low = moved & -moved
+                            moved ^= low
+                            x = low.bit_length() - 1
+                            up[_root(up, x)] = _root(up, p[x])
+                merged = len(found)
+            if up:
+                r = _root(up, v)
+                if any(_root(up, u) == r for u in tried):
+                    continue
             twin = False
             for u in tried:
                 if adj[v] & ~(1 << u) == adj[u] & ~(1 << v):
                     twin = True
-                    if found is not None:
-                        swap = list(range(n))
-                        swap[u], swap[v] = v, u
-                        found[tuple(swap)] = None
+                    swap = list(range(n))
+                    swap[u], swap[v] = v, u
+                    record(swap)
                     break
             if twin:
                 continue
             tried.append(v)
-            forced = _rank(
-                [(classes[u], 0 if u == v else 1) for u in range(n)]
-            )
-            descend(_refine(n, nbrs, forced))
+            # v keeps the cell's index; its cell-mates and every later
+            # cell move up by one
+            forced = [c + (c >= target) for c in classes]
+            forced[v] = target
+            descend(_refine(n, nbrs, forced), prefix | 1 << v)
 
-    descend(classes)
+    descend(classes, 0)
     assert best is not None
-    if found:
+    if autos is not None:
         autos.extend(found)
     return _pack(n, sorted(cols), best)
 

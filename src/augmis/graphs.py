@@ -23,6 +23,7 @@ __all__ = [
     "component_mask",
     "two_colouring",
     "connected_components",
+    "bipartite_matching",
 ]
 
 # Largest vertex count a graph file, a named graph or a planted instance
@@ -216,3 +217,43 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
             out.append(set_of(comp))
     return out
 
+
+def bipartite_matching(adj: Sequence[int], left: Iterable[int]) -> dict[int, int]:
+    """A maximum matching of the independent vertices ``left`` into their
+    neighbours, as a dict from each matched left vertex to its partner.
+
+    Kuhn's augmenting-path search, each left vertex in the order given,
+    each neighbourhood in ascending id order.  The paths are followed on
+    an explicit stack, never by recursion, so their length is bounded by
+    memory only.  A left vertex the search cannot match stays out: in
+    Kuhn's search it could never be matched later either.
+    """
+    mate: dict[int, int] = {}  # left -> right
+    partner: dict[int, int] = {}  # right -> left
+    for root in left:
+        seen = 0
+        # path[i] is a left vertex, untried[i] its neighbours not yet
+        # tried, via[i] the right vertex that path[i] would take
+        path, untried, via = [root], [adj[root]], []
+        while path:
+            rest = untried[-1] & ~seen
+            if not rest:
+                path.pop()
+                untried.pop()
+                if via:
+                    via.pop()
+                continue
+            low = rest & -rest
+            seen |= low
+            untried[-1] = rest ^ low
+            r = low.bit_length() - 1
+            via.append(r)
+            w = partner.get(r)
+            if w is None:
+                for u, b in zip(path, via):
+                    mate[u] = b
+                    partner[b] = u
+                break
+            path.append(w)
+            untried.append(adj[w])
+    return mate

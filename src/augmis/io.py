@@ -19,14 +19,9 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from .canonical import canon_code
+from .canonical import canon_code, decode_code
 from .graphs import MAX_VERTICES, Graph
-from .irreducible import (
-    Catalog,
-    CatalogEntry,
-    decode_catalog_code,
-    is_irreducible,
-)
+from .irreducible import Catalog, CatalogEntry, _from_masks, is_irreducible
 from .patterns import Pattern, is_free, parse_pattern
 
 __all__ = [
@@ -203,11 +198,13 @@ def parse_catalog(text: str) -> Catalog:
         except ValueError:
             raise GraphFormatError("malformed catalog entry", lineno)
         try:
-            h = decode_catalog_code(code)
-            canonical = canon_code(h.graph.n, h.graph.adj, h.colors())
+            size, adj, cols = decode_code(code)
+            # ColoredBipartite refuses colour classes that are not independent
+            h = _from_masks(size, adj, cols)
+            canonical = canon_code(size, adj, cols)
         except ValueError:
             raise GraphFormatError("undecodable catalog code", lineno)
-        if h.graph.n != n:
+        if size != n:
             raise GraphFormatError("entry size disagrees with code", lineno)
         if canonical != code:
             raise GraphFormatError("catalog code is not canonical", lineno)

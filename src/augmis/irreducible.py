@@ -6,7 +6,10 @@ neighbours in B, and the graph is connected.  Irreducible graphs are
 exactly the minimal augmenting graphs, so a solver only ever needs to
 look for them.  The single black vertex with empty white side counts as
 irreducible: it encodes the trivial augmentation that adds an untouched
-vertex.
+vertex.  All three conditions are checked on adjacency bitmasks, the
+Hall surplus with one matching (``graphs.bipartite_matching``) and a
+walk from the blacks it leaves free; nothing recurses, so a graph of
+any size the graph cap allows can be checked.
 """
 
 from __future__ import annotations
@@ -17,7 +20,14 @@ from typing import Iterable, Optional, Sequence
 
 from .canonical import canon_code, decode_code
 from .enumeration import grow_balanced_bicolored_raw
-from .graphs import Graph, bits, connected_components, is_independent, mask_of
+from .graphs import (
+    Graph,
+    bipartite_matching,
+    bits,
+    component_mask,
+    is_independent,
+    mask_of,
+)
 from .patterns import Pattern
 
 __all__ = [
@@ -69,50 +79,25 @@ class ColoredBipartite:
         )
 
 
-def _saturating_matching(
-    adj: Sequence[int], whites: Sequence[int]
-) -> Optional[dict[int, int]]:
-    """A matching of every white into its neighbours, as white -> black,
-    by Kuhn's augmenting paths; None when no matching saturates them."""
-    match_of: dict[int, int] = {}  # black -> white
-
-    def try_assign(w: int, visited: set[int]) -> bool:
-        for b in bits(adj[w]):
-            if b in visited:
-                continue
-            visited.add(b)
-            if b not in match_of or try_assign(match_of[b], visited):
-                match_of[b] = w
-                return True
-        return False
-
-    for w in whites:
-        if not try_assign(w, set()):
-            return None
-    return {w: b for b, w in match_of.items()}
-
-
 def hall_surplus_check(h: ColoredBipartite) -> bool:
     """True iff every non-empty A of W has at least |A|+1 black neighbours.
 
     Equivalent, without subset enumeration: after deleting any single
     black vertex the remaining graph still has a matching saturating W.
-    One matching M that saturates W settles every black at once.  A
-    black left free by M can go, since M survives.  A black b matched to
-    w can go iff w can be matched again, that is (Berge) iff an
-    alternating path leaves w by an edge outside M, returns to a white
-    along each edge of M, and ends at a black free in M.  Read from its
-    end, that path reaches b from a free black in steps "black, any
-    white neighbour, that white's partner in M".  So the surplus holds
-    iff M exists and those steps, taken from all free blacks at once,
-    reach every black.
+    One matching M that saturates W (``graphs.bipartite_matching``)
+    settles every black at once.  A black left free by M can go, since M
+    survives.  A black b matched to w can go iff w can be matched again,
+    that is (Berge) iff an alternating path leaves w by an edge outside
+    M, returns to a white along each edge of M, and ends at a black free
+    in M.  Read from its end, that path reaches b from a free black in
+    steps "black, any white neighbour, that white's partner in M".  So
+    the surplus holds iff M exists and those steps, taken from all free
+    blacks at once, reach every black.  Neither the matching nor the
+    walk recurses, so the graph's size is bounded by memory only.
     """
-    whites = sorted(h.white)
-    if not whites:
-        return True
     adj = h.graph.adj
-    mate = _saturating_matching(adj, whites)
-    if mate is None:
+    mate = bipartite_matching(adj, sorted(h.white))
+    if len(mate) < len(h.white):
         return False
     blacks = mask_of(h.black)
     reached = todo = blacks & ~mask_of(mate.values())
@@ -128,10 +113,12 @@ def hall_surplus_check(h: ColoredBipartite) -> bool:
 
 
 def is_irreducible(h: ColoredBipartite) -> bool:
-    """Size balance |W| = |B| - 1, Hall surplus, and connectivity."""
+    """Size balance |W| = |B| - 1, connectivity, and Hall surplus, all
+    checked on bitmasks."""
     if len(h.white) != len(h.black) - 1:
         return False
-    if len(connected_components(h.graph)) > 1:
+    # the balance leaves at least one vertex
+    if component_mask(h.graph.adj, 0) != (1 << h.graph.n) - 1:
         return False
     return hall_surplus_check(h)
 

@@ -239,6 +239,45 @@ def test_reported_automorphisms_generate_the_group_small():
         check_reported_automorphisms(n, masks, (0,) * n)
 
 
+def test_reported_automorphisms_generate_the_group_symmetric():
+    # the search prunes by the automorphisms it has met: on C8 and the
+    # 3-cube that cuts most of the tree, on the bicliques the twin swaps do
+    from augmis import complete_bipartite, cycle_graph
+
+    cube = [0] * 8
+    for v in range(8):
+        for b in range(3):
+            cube[v] |= 1 << (v ^ 1 << b)
+    k34 = complete_bipartite(3, 4)
+    for masks, cols, order in (
+        (complete_bipartite(4, 4).adj, None, 1152),
+        (cycle_graph(8).adj, None, 16),
+        (cube, None, 48),
+        (complete_bipartite(1, 7).adj, None, 5040),
+        (k34.adj, (0, 0, 0, 1, 1, 1, 1), 144),
+    ):
+        n = len(masks)
+        cols = cols or (0,) * n
+        assert len(automorphisms(n, masks, cols)) == order
+        check_reported_automorphisms(n, masks, cols)
+
+
+def test_packaged_entries_carry_their_codes():
+    from augmis.solver import _CATALOG_DATA
+
+    text = (_CATALOG_DATA / "catalog-p3-n9.txt").read_text(encoding="ascii")
+    checked = 0
+    for line in text.splitlines():
+        if line.startswith("c"):
+            continue
+        code = bytes.fromhex(line.split()[1])
+        n, masks, cols = decode_code(code)
+        assert canon_code(n, masks, cols) == code
+        assert canon_code(n, masks, cols, []) == code
+        checked += 1
+    assert checked == 235
+
+
 @settings(max_examples=200)
 @given(graphs_st(max_n=7), st.randoms(use_true_random=False))
 def test_reported_automorphisms_generate_the_group_colored(g, rnd):

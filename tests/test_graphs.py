@@ -11,8 +11,15 @@ from augmis import (
     is_independent,
     path_graph,
 )
-from augmis.graphs import component_mask, two_colouring
-from conftest import bipartition, graphs_st, induced_subgraph, neighbourhood
+from augmis.graphs import bipartite_matching, component_mask, two_colouring
+from conftest import (
+    bicolored,
+    bipartition,
+    graphs_st,
+    induced_subgraph,
+    max_bipartite_matching,
+    neighbourhood,
+)
 
 
 def test_construction_rejects_self_loops_and_bad_ids():
@@ -114,3 +121,19 @@ def test_bipartition_is_proper_cover(g):
 def test_edges_round_trip(g):
     assert Graph(g.n, list(g.edges())) == g
     assert g.num_edges == len(list(g.edges()))
+
+
+@given(
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5))),
+)
+def test_bipartite_matching_is_maximum(n_white, n_black, pairs):
+    edges = [(w, n_white + b) for w, b in pairs if w < n_white and b < n_black]
+    h = bicolored(n_white, n_black, edges)
+    whites = sorted(h.white)
+    mate = bipartite_matching(h.graph.adj, whites)
+    assert set(mate) <= h.white
+    assert len(set(mate.values())) == len(mate)
+    assert all(h.graph.has_edge(w, b) for w, b in mate.items())
+    assert len(mate) == len(max_bipartite_matching(h))

@@ -14,7 +14,7 @@ from augmis import (
 )
 from augmis.graphs import MAX_VERTICES, bits
 import augmis.io as io_mod
-from augmis.canonical import _pack, decode_code
+from augmis.canonical import _pack, canon_code, decode_code
 from augmis.io import (
     GraphFormatError,
     format_catalog,
@@ -235,6 +235,23 @@ def test_catalog_rejects_entries_without_hall_surplus():
     with pytest.raises(GraphFormatError, match="is not irreducible") as err:
         parse_catalog(text)
     assert err.value.line == len(text.splitlines()) == 7
+
+
+def test_catalog_rejects_undecodable_codes():
+    header = "c augmis catalog v1\nc n_max 33\nc filters -\nc census 3:1\n"
+    # the path 0-1-2 with 1 and 2 black: the colour classes are not independent
+    blacks_joined = _pack(3, [0, 1, 1], (0, 0b1, 0b10))
+    # a code one byte short of its payload, and one with more vertices
+    # than canonical codes allow
+    too_many = bytes([33]) + bytes(5 + 66)
+    for code in (blacks_joined, blacks_joined[:-1], too_many):
+        text = header + f"{code[0]} {code.hex()} # x\n"
+        with pytest.raises(GraphFormatError, match="undecodable catalog code") as err:
+            parse_catalog(text)
+        assert err.value.line == 5
+    # the same path coloured black, white, black is an entry
+    ok = canon_code(3, decode_code(blacks_joined)[1], (1, 0, 1))
+    parse_catalog(header + f"3 {ok.hex()} # n3-1\n")
 
 
 def _relabelled_codes(code):

@@ -118,6 +118,24 @@ def test_is_irreducible_examples():
     assert is_irreducible(bicolored(0, 1, []))  # lone black vertex
 
 
+def test_long_path_whose_last_white_reroutes_every_other():
+    # b0 w0 b1 w1 ... w(k-1) bk with the black ids ordered b1 < ... < bk < b0
+    # and the white ids w1 < ... < w(k-1) < w0: w0 comes last and its first
+    # neighbour, b1, sends an augmenting path through all k - 1 other whites
+    k = 3000
+    white = {i: i - 1 for i in range(1, k)}
+    white[0] = k - 1
+    black = {i: k + i - 1 for i in range(1, k + 1)}
+    black[0] = 2 * k
+    edges = [(white[i], black[i]) for i in range(k)]
+    edges += [(white[i], black[i + 1]) for i in range(k)]
+    h = ColoredBipartite(
+        Graph(2 * k + 1, edges), frozenset(white.values()), frozenset(black.values())
+    )
+    assert hall_surplus_check(h)
+    assert is_irreducible(h)
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_figure_families(k):
     assert is_irreducible(alternately_colored_path(2 * k + 1))
