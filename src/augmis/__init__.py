@@ -39,7 +39,6 @@ from .irreducible import (
     is_irreducible,
 )
 from .finders import (
-    AugCandidate,
     find_augmenting_path,
     find_from_catalog,
     find_tree_extension,

@@ -8,28 +8,28 @@ shapes a minimal augmenting subgraph can take in the target graph class:
 alternating chordless paths of even length, extensions of subdivided
 stars, and members of a finite catalogue.  All three read the S-degree
 classes of one ``RoundState``, which ``solve_mis`` builds each round from
-its bitmask of S.  ``solve_mis`` gives each candidate one verdict,
-``augments``, on masks, before it applies it, so the path and catalogue
-finders return what they find unchecked; the star finder filters its
-scan with the same verdict.
+its bitmask of S; a finder reads S from that state only.  A finder
+returns a candidate as the bitmask pair ``(wmask, bmask)``, or None.
+``solve_mis`` gives each candidate one verdict, ``augments``, on those
+masks, before it applies it, so the path and catalogue finders return
+what they find unchecked; the star finder filters its scan with the same
+verdict.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import or_
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
-from .graphs import Graph, bits, mask_of, set_of
+from .graphs import Graph, bits, mask_of
 from .irreducible import Catalog, CatalogEntry
 from .patterns import _anchored_order, _Plan, _search
 
 __all__ = [
-    "AugCandidate",
     "RoundState",
     "round_state",
     "augments",
@@ -37,16 +37,6 @@ __all__ = [
     "find_tree_extension",
     "find_from_catalog",
 ]
-
-
-@dataclass(frozen=True)
-class AugCandidate:
-    """A proposed swap: drop ``whites`` from S, add ``blacks``."""
-
-    whites: frozenset[int]
-    blacks: frozenset[int]
-    shape: str  # "path" | "tree_extension" | "catalog"
-    detail: object = None
 
 
 class RoundState(NamedTuple):
@@ -62,13 +52,9 @@ class RoundState(NamedTuple):
     by_degree: list[int]
 
 
-# An independent set S, as vertex ids or as a bitmask.
-VertexSet = Union[int, Iterable[int]]
-
-
-def round_state(g: Graph, s: VertexSet) -> RoundState:
-    """The round state of ``g`` and the independent set ``s``."""
-    smask = s if isinstance(s, int) else mask_of(s)
+def round_state(g: Graph, smask: int) -> RoundState:
+    """The round state of ``g`` and the independent set with bitmask
+    ``smask``."""
     rmask = ((1 << g.n) - 1) & ~smask
     adj = g.adj
     by_degree = [0] * (g.n + 3)
@@ -102,10 +88,9 @@ def augments(adj: tuple[int, ...], smask: int, wmask: int, bmask: int) -> bool:
     return True
 
 
-def find_augmenting_path(
-    g: Graph, s: VertexSet, state: Optional[RoundState] = None
-) -> Optional[AugCandidate]:
-    """An augmenting chordless alternating path, or None.
+def find_augmenting_path(g: Graph, state: RoundState) -> Optional[tuple[int, int]]:
+    """An augmenting chordless alternating path, as (whites, blacks)
+    masks, or None.
 
     The path runs b0 w1 b1 ... wk bk with blacks outside S and whites
     inside, every black's S-neighbours on the path, and no chords; the
@@ -123,13 +108,7 @@ def find_augmenting_path(
     completion of the path is such a walk, so the bound is exact; and the
     DFS order is unchanged, so the path returned is the one the unpruned
     search finds first.
-
-    ``s`` is S, as vertex ids or as a bitmask.  ``state`` is the round
-    state of (g, S); when it is given, S is read from it, and when it is
-    absent it is built here.
     """
-    if state is None:
-        state = round_state(g, s)
     smask, rmask, by_degree = state
     adj = g.adj
     # vertices outside S with at most one (the possible endpoints), exactly
@@ -159,23 +138,20 @@ def find_augmenting_path(
     # Depth first on an explicit stack, so no path length hits the
     # recursion limit.  A frame holds the blacks still to try as the next
     # path black, least first, and the path before it: its whites, its
-    # blacks, the vertices adjacent to a path black and to a path white,
-    # and its vertex order, blacks at the even positions.
-    stack = [(starts, 0, 0, 0, 0, ())] if starts else []
+    # blacks, and the vertices adjacent to a path black and to a path
+    # white.
+    stack = [(starts, 0, 0, 0, 0)] if starts else []
     while stack:
-        todo, wmask, bmask, bnbr, wnbr, order = stack.pop()
+        todo, wmask, bmask, bnbr, wnbr = stack.pop()
         low = todo & -todo
         if todo != low:
-            stack.append((todo ^ low, wmask, bmask, bnbr, wnbr, order))
+            stack.append((todo ^ low, wmask, bmask, bnbr, wnbr))
         cur = low.bit_length() - 1
         bmask |= low
         bnbr |= adj[cur]
         pending = adj[cur] & smask & ~wmask
         if pending == 0:
-            order += (cur,)
-            return AugCandidate(
-                frozenset(order[1::2]), frozenset(order[::2]), "path", detail=order
-            )
+            return wmask, bmask
         if pending & (pending - 1):
             continue  # two S-neighbours off the path: unfixable
         # w has no chord to an earlier black: such a black's one S-neighbour
@@ -188,16 +164,15 @@ def find_augmenting_path(
             continue
         nxt = adj[w] & free_b
         if nxt:
-            stack.append(
-                (nxt, wmask | pending, bmask, bnbr, wnbr | adj[w], order + (cur, w))
-            )
+            stack.append((nxt, wmask | pending, bmask, bnbr, wnbr | adj[w]))
     return None
 
 
 def find_tree_extension(
-    g: Graph, s: VertexSet, p: int, state: Optional[RoundState] = None
-) -> Optional[AugCandidate]:
-    """An augmenting extension of a subdivided star, or None.
+    g: Graph, state: RoundState, p: int
+) -> Optional[tuple[int, int]]:
+    """An augmenting extension of a subdivided star, as (whites, blacks)
+    masks, or None.
 
     Scans all triples (extra whites Q1 inside S, extra blacks Q2 outside,
     centre u outside) with |Q1| = |Q2| <= 2p, Q2 independent and
@@ -233,13 +208,9 @@ def find_tree_extension(
     every vertex outside S is a centre, but from n = 2p + 2 on no level
     has a leaf in its pool: at p = 3 a miss takes under 1 ms from n = 8
     up to n = 256.
-
-    ``s`` and ``state`` are as in ``find_augmenting_path``.
     """
     if p < 2:
         raise ValueError("class parameter p must be at least 2")
-    if state is None:
-        state = round_state(g, s)
     smask, rmask, by_degree = state
     adj = g.adj
     k_min = p + 2
@@ -252,14 +223,14 @@ def find_tree_extension(
 
     def extension(
         pool: list[int], q1mask: int, q2mask: int, u: int, a0: int
-    ) -> Optional[AugCandidate]:
+    ) -> Optional[tuple[int, int]]:
         leaves = _pick_leaves(adj, pool, ns_of, smask, q1mask, q2mask, u, a0)
         if leaves is None:
             return None
         wmask = a0 | q1mask
-        bmask = (1 << u) | mask_of(leaves) | q2mask
+        bmask = (1 << u) | leaves | q2mask
         if augments(adj, smask, wmask, bmask):
-            return AugCandidate(set_of(wmask), set_of(bmask), "tree_extension")
+            return wmask, bmask
         return None
 
     # Every centre has at least p+2 middles and each middle needs a leaf
@@ -321,9 +292,10 @@ def _pick_leaves(
     q2mask: int,
     u: int,
     a0: int,
-) -> Optional[list[int]]:
-    """Least leaf per star middle from ``pool``, ascending vertices
-    outside S, or None when some middle has no leaf."""
+) -> Optional[int]:
+    """The mask of the least leaf per star middle from ``pool``,
+    ascending vertices outside S, or None when some middle has no
+    leaf."""
     forbidden = (1 << u) | q2mask
     least: dict[int, int] = {}
     for v in pool:
@@ -334,20 +306,21 @@ def _pick_leaves(
             a = key.bit_length() - 1
             if a not in least:
                 least[a] = v
-    leaves = []
+    leaves = 0
     for a in bits(a0):
         v = least.get(a)
         if v is None:
             return None
-        leaves.append(v)
+        leaves |= 1 << v
     return leaves
 
 
 def find_from_catalog(
-    g: Graph, s: VertexSet, catalog: Catalog, state: Optional[RoundState] = None
-) -> Optional[AugCandidate]:
+    g: Graph, state: RoundState, catalog: Catalog
+) -> Optional[tuple[int, int]]:
     """First catalogue entry that is not a path and embeds as an
-    augmenting subgraph.
+    augmenting subgraph, as the (whites, blacks) masks of its image, or
+    None.
 
     Path shapes belong to ``find_augmenting_path``: the scan leaves out
     the entries of maximum degree at most 2 (entries are connected with
@@ -384,11 +357,7 @@ def find_from_catalog(
     graphs the count check then rejects every entry with such a white.
     The compiled scan and its index are kept for the catalogue object's
     lifetime.
-
-    ``s`` and ``state`` are as in ``find_augmenting_path``.
     """
-    if state is None:
-        state = round_state(g, s)
     scan = _scan_of(catalog)
     fit, doms = _admitted(scan, g, state)
     if not fit:
@@ -400,17 +369,17 @@ def find_from_catalog(
     while fit:
         low = fit & -fit
         fit ^= low
-        entry, plan = items[low.bit_length() - 1]
+        plan = items[low.bit_length() - 1][1]
         if not _search(plan, adj, g_deg, doms, images, 0, 0):
             continue
-        h = entry.graph
-        emb = dict(zip(plan.order, images))
-        return AugCandidate(
-            frozenset(emb[w] for w in h.white),
-            frozenset(emb[b] for b in h.black),
-            "catalog",
-            detail=entry.code,
-        )
+        # domains 0 and 1 hold whites, 2 and up blacks
+        wmask = bmask = 0
+        for v, k in zip(images, plan.dom):
+            if k < 2:
+                wmask |= 1 << v
+            else:
+                bmask |= 1 << v
+        return wmask, bmask
     return None
 
 

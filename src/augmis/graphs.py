@@ -6,7 +6,10 @@ operations.  Sorted neighbour tuples are derived lazily for iteration.
 Graphs are values; nothing mutates them after construction, so they can
 be shared freely between threads.
 
-Vertex subsets are plain ``frozenset[int]`` throughout the public API.
+Vertex subsets are plain ``frozenset[int]`` in the public API, except
+where the search code hands bitmasks on: the finders' round state and
+their (whites, blacks) candidates are masks, which ``set_of`` turns into
+frozensets and ``mask_of`` back.
 """
 
 from __future__ import annotations

@@ -69,9 +69,6 @@ class ColoredBipartite:
         if not is_independent(g, self.black):
             raise ValueError("black side is not independent")
 
-    def colors(self) -> tuple[int, ...]:
-        return tuple(1 if v in self.black else 0 for v in range(self.graph.n))
-
     def __repr__(self) -> str:
         return (
             f"ColoredBipartite(n={self.graph.n}, |W|={len(self.white)}, "

@@ -25,7 +25,7 @@ from .finders import (
     find_tree_extension,
     round_state,
 )
-from .graphs import Graph, bits, is_independent, mask_of, set_of
+from .graphs import Graph, bits, set_of
 from .io import GraphFormatError, parse_catalog
 from .irreducible import Catalog, enumerate_irreducible
 from .patterns import Pattern, class_patterns, is_free
@@ -223,17 +223,16 @@ def solve_mis(
     while True:
         state = round_state(g, smask)
         name = "path"
-        cand = find_augmenting_path(g, smask, state)
+        cand = find_augmenting_path(g, state)
         if cand is None:
             name = "tree"
-            cand = find_tree_extension(g, smask, cfg.p, state)
+            cand = find_tree_extension(g, state, cfg.p)
         if cand is None:
             name = "catalog"
-            cand = find_from_catalog(g, smask, catalog, state)
+            cand = find_from_catalog(g, state, catalog)
         if cand is None:
             break
-        wmask = mask_of(cand.whites)
-        bmask = mask_of(cand.blacks)
+        wmask, bmask = cand
         if not augments(adj, smask, wmask, bmask):
             raise ValueError(f"the {name} finder's candidate does not augment S")
         hits[name] += 1
@@ -255,7 +254,7 @@ def solve_mis(
             if not adj[low.bit_length() - 1] & smask:
                 smask |= low
     out = set_of(smask)
-    if not is_independent(g, out):
+    if any(adj[v] & smask for v in out):
         raise RuntimeError("augmentation produced a dependent set")
     return SolveResult(out, len(out), iterations, hits)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from augmis import Graph, Pattern, enumerate_irreducible, is_independent
 from augmis.canonical import canon_code
-from augmis.finders import AugCandidate, _pick_leaves, augments, round_state
+from augmis.finders import _pick_leaves, augments
 from augmis.graphs import bits, mask_of, set_of, two_colouring
 from augmis.irreducible import ColoredBipartite
 from augmis.solver import _greedy_mask
@@ -55,34 +55,36 @@ def bicolored(n_white, n_black, edges):
     )
 
 
-def verdict(g, s, cand):
-    """``finders.augments`` on the masks of S and of the candidate."""
-    return augments(g.adj, mask_of(s), mask_of(cand.whites), mask_of(cand.blacks))
+def verdict(g, smask, cand):
+    """``finders.augments`` on S and a candidate ``(wmask, bmask)``."""
+    wmask, bmask = cand
+    return augments(g.adj, smask, wmask, bmask)
 
 
-def is_augmenting(g, s, cand):
-    """Verdict on a candidate; precondition breaches raise instead.
+def is_augmenting(g, smask, cand):
+    """Verdict on S and a candidate ``(wmask, bmask)``; precondition
+    breaches raise instead.
 
     Preconditions: S independent, candidate whites inside S, candidate
     blacks outside S.  Verdict: blacks independent, strictly more blacks
     than whites, and no black has a neighbour in S outside the whites.
-    The set-based reference for ``finders.augments``.
+    The set-based reference for ``finders.augments``: the masks are
+    unpacked into vertex sets and checked one vertex at a time.
     """
-    s = frozenset(s)
+    s = set_of(smask)
+    whites, blacks = map(set_of, cand)
     if not is_independent(g, s):
         raise ValueError("S is not independent")
-    if not cand.whites <= s:
+    if not whites <= s:
         raise ValueError("candidate whites must lie inside S")
-    if cand.blacks & s:
+    if blacks & s:
         raise ValueError("candidate blacks must lie outside S")
-    if not is_independent(g, cand.blacks):
+    if not is_independent(g, blacks):
         return False
-    if len(cand.blacks) <= len(cand.whites):
+    if len(blacks) <= len(whites):
         return False
-    smask = mask_of(s)
-    wmask = mask_of(cand.whites)
-    for b in cand.blacks:
-        if g.adj[b] & smask & ~wmask:
+    for b in blacks:
+        if any(g.has_edge(b, v) for v in s - whites):
             return False
     return True
 
@@ -165,16 +167,15 @@ def automorphisms(n, masks, cols=None):
 
 def canonical_code(h):
     """The colour-respecting canonical code a catalogue stores for ``h``."""
-    return canon_code(h.graph.n, h.graph.adj, h.colors())
+    cols = tuple(int(v in h.black) for v in range(h.graph.n))
+    return canon_code(h.graph.n, h.graph.adj, cols)
 
 
-def reference_tree_extension(g, s, p, state=None):
+def reference_tree_extension(g, state, p):
     """``find_tree_extension`` as a plain scan: every (Q1, Q2, centre)
     triple in the documented order, with the masks rebuilt per pair."""
     if p < 2:
         raise ValueError("class parameter p must be at least 2")
-    if state is None:
-        state = round_state(g, s)
     smask, rmask, by_degree = state
     adj = g.adj
     k_min = p + 2
@@ -216,11 +217,9 @@ def reference_tree_extension(g, s, p, state=None):
                     if leaves is None:
                         continue
                     wmask = a0 | q1mask
-                    bmask = (1 << u) | mask_of(leaves) | q2mask
+                    bmask = (1 << u) | leaves | q2mask
                     if augments(adj, smask, wmask, bmask):
-                        return AugCandidate(
-                            set_of(wmask), set_of(bmask), "tree_extension"
-                        )
+                        return wmask, bmask
     return None
 
 

@@ -36,7 +36,7 @@ from augmis import (
     verify_min_classes,
 )
 from augmis.enumeration import grow_bicolored_raw, grow_graphs
-from augmis.finders import augments
+from augmis.finders import augments, round_state
 from augmis.graphs import mask_of
 from augmis.io import format_catalog
 from augmis.verify import (
@@ -173,12 +173,13 @@ def test_criterion_7_planted_extensions():
         g, s = plant_augmenting_tree(
             PlantSpec(k=k, p=p, extras=extras, noise=noise, seed=seed)
         )
-        cand = find_tree_extension(g, s, p)
+        smask = mask_of(s)
+        cand = find_tree_extension(g, round_state(g, smask), p)
         assert cand is not None, seed
-        wmask, bmask = mask_of(cand.whites), mask_of(cand.blacks)
-        assert augments(g.adj, mask_of(s), wmask, bmask), seed
-        bigger = (s - cand.whites) | cand.blacks
-        assert len(bigger) == len(s) + 1
+        wmask, bmask = cand
+        assert augments(g.adj, smask, wmask, bmask), seed
+        bigger = smask & ~wmask | bmask
+        assert bigger.bit_count() == len(s) + 1
         assert brute_force_mis(g).alpha == len(s) + 1, seed
     _report(7, "planted extensions", "200 seeded instances, 100% found")
 

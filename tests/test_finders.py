@@ -24,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from augmis import (
-    AugCandidate,
     Graph,
     Pattern,
     complete_bipartite,
@@ -44,11 +43,13 @@ from augmis import (
 import augmis.finders as finders
 import augmis.solver as solver
 from augmis.enumeration import grow_graphs
-from augmis.irreducible import Catalog
+from augmis.finders import round_state
+from augmis.irreducible import Catalog, ColoredBipartite
 from augmis.graphs import bits, mask_of, set_of
 from augmis.solver import SolveConfig, class_patterns
 import conftest
 from conftest import (
+    canonical_code,
     graphs_st,
     greedy_initial,
     induced_subgraph,
@@ -80,8 +81,8 @@ def oracle_augmenting_path_exists(g: Graph, s) -> bool:
             break
         for whites in combinations(s_list, k):
             for blacks in combinations(rest, k + 1):
-                cand = AugCandidate(frozenset(whites), frozenset(blacks), "x")
-                if not verdict(g, s, cand):
+                cand = (mask_of(whites), mask_of(blacks))
+                if not verdict(g, mask_of(s), cand):
                     continue
                 sub, _ = induced_subgraph(g, frozenset(whites) | frozenset(blacks))
                 if is_path_shape(sub):
@@ -98,21 +99,20 @@ def oracle_augmenting_exists(g: Graph, s, max_vertices: int) -> bool:
             break
         for whites in combinations(s_list, k):
             for blacks in combinations(rest, k + 1):
-                cand = AugCandidate(frozenset(whites), frozenset(blacks), "x")
-                if verdict(g, s, cand):
+                cand = (mask_of(whites), mask_of(blacks))
+                if verdict(g, mask_of(s), cand):
                     return True
     return False
 
 
 def test_augments_examples():
+    # sets as masks: 0b101 is {0, 2}
     e = Graph(2, [(0, 1)])
-    assert not verdict(e, {0}, AugCandidate(frozenset({0}), frozenset({1}), "x"))
+    assert not verdict(e, 0b1, (0b1, 0b10))
     p3 = path_graph(3)
-    assert verdict(p3, {1}, AugCandidate(frozenset({1}), frozenset({0, 2}), "x"))
+    assert verdict(p3, 0b10, (0b10, 0b101))
     k13 = complete_bipartite(1, 3)
-    assert not verdict(
-        k13, {1, 2, 3}, AugCandidate(frozenset({1, 2}), frozenset({0}), "x")
-    )
+    assert not verdict(k13, 0b1110, (0b110, 0b1))
 
 
 def test_augments_is_false_on_precondition_breaches():
@@ -124,10 +124,10 @@ def test_augments_is_false_on_precondition_breaches():
         ({1}, {1}, {1}),  # a black inside S
     ]
     for s, whites, blacks in cases:
-        cand = AugCandidate(frozenset(whites), frozenset(blacks), "x")
+        smask, cand = mask_of(s), (mask_of(whites), mask_of(blacks))
         with pytest.raises(ValueError):
-            is_augmenting(p3, s, cand)
-        assert verdict(p3, s, cand) is False
+            is_augmenting(p3, smask, cand)
+        assert verdict(p3, smask, cand) is False
 
 
 def test_mask_verdict_matches_is_augmenting(class_graphs7):
@@ -159,43 +159,41 @@ def test_mask_verdict_matches_is_augmenting(class_graphs7):
                     pool = [v for v in rest if not g.adj[v] & smask & ~wmask]
                 size = rnd.randint(0, min(len(whites) + 2, len(pool)))
                 blacks = rnd.sample(pool, size)
-                cand = AugCandidate(frozenset(whites), frozenset(blacks), "x")
-                got = finders.augments(g.adj, smask, wmask, mask_of(blacks))
-                assert got == is_augmenting(g, s, cand)
+                cand = (wmask, mask_of(blacks))
+                got = finders.augments(g.adj, smask, *cand)
+                assert got == is_augmenting(g, smask, cand)
                 verdicts[got] += 1
     assert verdicts[True] > 100 and verdicts[False] > 100
 
 
+def state_of(g, s):
+    """The round state of ``g`` and S given as vertex ids."""
+    return round_state(g, mask_of(s))
+
+
 def test_path_finder_examples():
+    # sets as masks: 0b101 is {0, 2}
     p3 = path_graph(3)
-    c = find_augmenting_path(p3, {1})
-    assert (c.whites, c.blacks) == (frozenset({1}), frozenset({0, 2}))
+    assert find_augmenting_path(p3, round_state(p3, 0b10)) == (0b10, 0b101)
     g = Graph(3, [(0, 1)])
-    c = find_augmenting_path(g, {0})
-    assert (c.whites, c.blacks) == (frozenset(), frozenset({2}))
-    assert find_augmenting_path(complete_graph(3), {0}) is None
+    assert find_augmenting_path(g, round_state(g, 0b1)) == (0, 0b100)
+    k3 = complete_graph(3)
+    assert find_augmenting_path(k3, round_state(k3, 0b1)) is None
     # P5 with middle S: the only augmenting path swaps 2 whites for 3 blacks
-    c = find_augmenting_path(path_graph(5), {1, 3})
-    assert c is not None and len(c.blacks) == 3
+    p5 = path_graph(5)
+    assert find_augmenting_path(p5, round_state(p5, 0b1010)) == (0b1010, 0b10101)
 
 
-def mask_of_set(s):
-    """S as a bitmask; ``solve_mis`` hands the finders its bitmask, a
-    test may pass vertex ids."""
-    return s if isinstance(s, int) else mask_of(s)
-
-
-def reference_find_augmenting_path(g, s):
+def reference_find_augmenting_path(g, smask):
     """The path search without the endpoint bound: the same DFS, pruned
     only by S-degrees and chords."""
-    smask = mask_of_set(s)
     adj = g.adj
     rmask = ((1 << g.n) - 1) & ~smask
 
-    def extend(cur, wmask, bmask, order):
+    def extend(cur, wmask, bmask):
         pending = adj[cur] & smask & ~wmask
         if pending == 0:
-            return wmask, bmask, order
+            return wmask, bmask
         if pending & (pending - 1):
             return None
         w = pending.bit_length() - 1
@@ -205,7 +203,7 @@ def reference_find_augmenting_path(g, s):
         for nb in bits(adj[w] & rmask & ~(wmask2 | bmask)):
             if adj[nb] & bmask or adj[nb] & wmask2 != pending:
                 continue
-            hit = extend(nb, wmask2, bmask | (1 << nb), order + (w, nb))
+            hit = extend(nb, wmask2, bmask | (1 << nb))
             if hit is not None:
                 return hit
         return None
@@ -214,12 +212,9 @@ def reference_find_augmenting_path(g, s):
         start = adj[b0] & smask
         if start & (start - 1):
             continue
-        hit = extend(b0, 0, 1 << b0, (b0,))
+        hit = extend(b0, 0, 1 << b0)
         if hit is not None:
-            wmask, bmask, order = hit
-            return AugCandidate(
-                set_of(wmask), set_of(bmask), "path", detail=order
-            )
+            return hit
     return None
 
 
@@ -253,9 +248,9 @@ def test_path_finder_matches_reference(
 ):
     found = []
 
-    def checked(g, s, state=None):
-        got = find_augmenting_path(g, s, state)
-        assert got == reference_find_augmenting_path(g, s)
+    def checked(g, state):
+        got = find_augmenting_path(g, state)
+        assert got == reference_find_augmenting_path(g, state.smask)
         found.append(got is not None)
         return got
 
@@ -267,7 +262,7 @@ def test_path_finder_matches_reference(
     for g in class_graphs7:
         greedy = greedy_initial(g)
         for s in (greedy, greedy - {min(greedy)}):
-            checked(g, s)
+            checked(g, state_of(g, s))
         solve_mis(g, cfg, solver_catalog9)
     assert any(found) and not all(found)
 
@@ -275,15 +270,16 @@ def test_path_finder_matches_reference(
 def test_path_candidates_are_chordless_even_paths():
     for seed in range(30):
         g = gen_free_random(10, 0.35, [Pattern("S", (1, 1, 1))], seed)
-        s = greedy_initial(g)
-        c = find_augmenting_path(g, s)
+        state = state_of(g, greedy_initial(g))
+        c = find_augmenting_path(g, state)
         if c is None:
             continue
-        assert verdict(g, s, c)
-        sub, _ = induced_subgraph(g, c.whites | c.blacks)
+        assert verdict(g, state.smask, c)
+        wmask, bmask = c
+        sub, _ = induced_subgraph(g, bits(wmask | bmask))
         assert is_path_shape(sub)
         assert sub.num_edges % 2 == 0
-        assert len(c.blacks) == len(c.whites) + 1
+        assert bmask.bit_count() == wmask.bit_count() + 1
 
 
 @settings(max_examples=150)
@@ -294,31 +290,30 @@ def test_path_finder_matches_oracle(g, rnd):
         # also exercise non-maximal independent sets
         drop = rnd.choice(sorted(s))
         s = s - {drop}
-    got = find_augmenting_path(g, s)
+    got = find_augmenting_path(g, state_of(g, s))
     assert (got is not None) == oracle_augmenting_path_exists(g, s)
     if got is not None:
-        assert verdict(g, s, got)
+        assert verdict(g, mask_of(s), got)
 
 
 def test_tree_extension_examples():
     t5 = subdivided_star(5)
-    s = frozenset(range(1, 6))
-    c = find_tree_extension(t5, s, 3)
-    assert c is not None
-    assert c.whites == s
-    assert c.blacks == frozenset({0}) | frozenset(range(6, 11))
-    assert find_tree_extension(Graph(2, [(0, 1)]), {0}, 2) is None
+    state = state_of(t5, range(1, 6))
+    c = find_tree_extension(t5, state, 3)
+    assert c == (mask_of(range(1, 6)), mask_of([0, *range(6, 11)]))
+    e = Graph(2, [(0, 1)])
+    assert find_tree_extension(e, round_state(e, 0b1), 2) is None
     with pytest.raises(ValueError):
-        find_tree_extension(t5, s, 1)
+        find_tree_extension(t5, state, 1)
 
 
 def test_tree_extension_candidate_contains_big_star():
     from augmis import find_induced, plant_augmenting_tree, PlantSpec
 
     g, s = plant_augmenting_tree(PlantSpec(k=5, p=3, extras=2, seed=3))
-    c = find_tree_extension(g, s, 3)
-    assert c is not None and verdict(g, s, c)
-    sub, _ = induced_subgraph(g, c.whites | c.blacks)
+    c = find_tree_extension(g, state_of(g, s), 3)
+    assert c is not None and verdict(g, mask_of(s), c)
+    sub, _ = induced_subgraph(g, bits(c[0] | c[1]))
     assert find_induced(sub, Pattern("T", (5,))) is not None
 
 
@@ -331,12 +326,12 @@ def dependent_leaves_star(k=5):
 def test_tree_extension_skips_dependent_leaves():
     k = 5
     g = dependent_leaves_star(k)
-    s = frozenset(range(1, k + 1))
+    state = state_of(g, range(1, k + 1))
     # the leaves found are not independent, so the candidate is dropped
     # and the scan goes on; no warning is raised
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = find_tree_extension(g, s, 3)
+        got = find_tree_extension(g, state, 3)
     assert got is None
 
 
@@ -404,13 +399,13 @@ def test_tree_extension_matches_reference(monkeypatch):
     monkeypatch.setattr(conftest, "_pick_leaves", recording(conftest._pick_leaves))
     outcomes = Counter()
 
-    def checked(g, s, p, state=None):
+    def checked(g, state, p):
         trace.clear()
-        got = find_tree_extension(g, s, p, state)
+        got = find_tree_extension(g, state, p)
         seen = trace[:]
         trace.clear()
-        assert got == conftest.reference_tree_extension(g, s, p, state)
-        by_degree = (state or finders.round_state(g, s)).by_degree
+        assert got == conftest.reference_tree_extension(g, state, p)
+        by_degree = state.by_degree
         kept = []
         for call in trace:
             if any(by_degree[1 : call[0].bit_count() + 2]):
@@ -431,7 +426,7 @@ def test_tree_extension_matches_reference(monkeypatch):
         if s is None:
             solve_mis(g, SolveConfig(p=p))
         else:
-            checked(g, s, p)
+            checked(g, state_of(g, s), p)
     # misses, hits with empty Q1 and Q2, hits with m >= 1, and skipped
     # levels
     assert outcomes["miss"] and outcomes["hit", 0] and outcomes["hit", 1]
@@ -441,18 +436,17 @@ def test_tree_extension_matches_reference(monkeypatch):
 def test_catalog_finder_examples(solver_catalog9):
     # P3 and the lone vertex are paths: the path finder finds them (see
     # test_path_finder_examples) and the catalogue leaves them out
-    p3 = path_graph(3)
-    assert find_augmenting_path(p3, {1}) is not None
-    assert find_from_catalog(p3, {1}, solver_catalog9) is None
-    g = Graph(3, [(0, 1)])
-    assert find_augmenting_path(g, {0}) is not None
-    assert find_from_catalog(g, {0}, solver_catalog9) is None
-    assert find_from_catalog(complete_graph(3), {0}, solver_catalog9) is None
+    for g, smask in ((path_graph(3), 0b10), (Graph(3, [(0, 1)]), 0b1)):
+        state = round_state(g, smask)
+        assert find_augmenting_path(g, state) is not None
+        assert find_from_catalog(g, state, solver_catalog9) is None
+    k3 = complete_graph(3)
+    assert find_from_catalog(k3, round_state(k3, 0b1), solver_catalog9) is None
     # K(2,3) with S its 2-side: no path augments, the catalogue does
     k23 = complete_bipartite(2, 3)
-    assert find_augmenting_path(k23, {0, 1}) is None
-    c = find_from_catalog(k23, {0, 1}, solver_catalog9)
-    assert (c.whites, c.blacks) == (frozenset({0, 1}), frozenset({2, 3, 4}))
+    state = round_state(k23, 0b11)
+    assert find_augmenting_path(k23, state) is None
+    assert find_from_catalog(k23, state, solver_catalog9) == (0b11, 0b11100)
 
 
 @settings(max_examples=40)
@@ -465,23 +459,24 @@ def test_catalog_finder_matches_oracle(seed, rnd):
     s = greedy_initial(g)
     if rnd.random() < 0.5 and s:
         s = s - {rnd.choice(sorted(s))}
-    got = find_from_catalog(g, s, cat)
+    state = state_of(g, s)
+    got = find_from_catalog(g, state, cat)
     # where no augmenting path exists, every augmenting pair on at most 7
     # vertices holds an irreducible one that is not a path
-    if find_augmenting_path(g, s) is None:
+    if find_augmenting_path(g, state) is None:
         assert (got is not None) == oracle_augmenting_exists(g, s, 7)
     if got is not None:
-        assert verdict(g, s, got)
+        assert verdict(g, state.smask, got)
 
 
 def test_finders_are_deterministic():
     g = gen_free_random(11, 0.3, [Pattern("S", (1, 1, 1))], 5)
-    s = greedy_initial(g) - {0}
+    state = state_of(g, greedy_initial(g) - {0})
     cat = enumerate_irreducible(5)
     for finder in (
-        lambda: find_augmenting_path(g, s),
-        lambda: find_tree_extension(g, s, 2),
-        lambda: find_from_catalog(g, s, cat),
+        lambda: find_augmenting_path(g, state),
+        lambda: find_tree_extension(g, state, 2),
+        lambda: find_from_catalog(g, state, cat),
     ):
         assert finder() == finder()
 
@@ -528,6 +523,20 @@ def reference_embed_entry(g, smask, h):
     return None
 
 
+def candidate_code(g, cand):
+    """The canonical code of the subgraph of ``g`` induced on a
+    candidate ``(wmask, bmask)``, coloured by it: a catalogue hit
+    induces a copy of its entry, so the two codes are equal."""
+    wmask, bmask = cand
+    sub, remap = induced_subgraph(g, bits(wmask | bmask))
+    h = ColoredBipartite(
+        sub,
+        frozenset(remap[v] for v in bits(wmask)),
+        frozenset(remap[v] for v in bits(bmask)),
+    )
+    return canonical_code(h)
+
+
 def test_catalog_finder_matches_reference_backtracker(solver_catalog9):
     class_pats = [Pattern("S", (1, 1, 3)), Pattern("K", (3, 3))]
     singles = [
@@ -543,10 +552,11 @@ def test_catalog_finder_matches_reference_backtracker(solver_catalog9):
     for g in graphs + seeded_line_graphs():
         greedy = greedy_initial(g)
         for s in (greedy, greedy - {min(greedy)}):
-            smask = mask_of(s)
+            state = state_of(g, s)
+            smask = state.smask
             first = None
             for entry, single in zip(solver_catalog9.entries, singles):
-                got = find_from_catalog(g, s, single)
+                got = find_from_catalog(g, state, single)
                 if is_path_entry(entry):
                     assert got is None
                     continue
@@ -555,14 +565,15 @@ def test_catalog_finder_matches_reference_backtracker(solver_catalog9):
                 if got is None:
                     misses += 1
                     continue
-                assert verdict(g, s, got)
+                assert verdict(g, smask, got)
+                assert candidate_code(g, got) == entry.code
                 hits += 1
                 first = first or entry.code
             # both scan entries in catalogue order, so the whole
             # catalogue returns the first entry that is not a path and
             # embeds
-            got = find_from_catalog(g, s, solver_catalog9)
-            assert (got and got.detail) == first
+            got = find_from_catalog(g, state, solver_catalog9)
+            assert (got and candidate_code(g, got)) == first
     assert hits and misses
 
 
@@ -600,7 +611,7 @@ def test_catalog_plans_compile_once(monkeypatch, solver_catalog9):
     graphs = [gen_free_random(12, 0.3, class_pats, seed) for seed in range(4)]
     for _ in range(2):
         for g in graphs:
-            find_from_catalog(g, greedy_initial(g), solver_catalog9)
+            find_from_catalog(g, state_of(g, greedy_initial(g)), solver_catalog9)
     # one plan per entry that is not a path: all but P1, P3, P5 and P7
     assert len(compiled) == 231 == len(solver_catalog9) - 4
     _, scan = finders._SCANS[id(solver_catalog9)]
@@ -679,9 +690,9 @@ def test_final_round_scan_matches_full_catalogue(
     paths = path_entries(solver_catalog9)
     scanned = []
 
-    def recording(g, s, catalog, state=None):
-        scanned.append((g, mask_of_set(s)))
-        return find_from_catalog(g, s, catalog, state)
+    def recording(g, state, catalog):
+        scanned.append((g, state.smask))
+        return find_from_catalog(g, state, catalog)
 
     monkeypatch.setattr(solver, "find_from_catalog", recording)
     graphs = seeded_line_graphs() + small_star_instances() + class_graphs7
@@ -708,10 +719,10 @@ def test_path_entries_miss_where_the_path_finder_misses(
         sets = [greedy] + [greedy - {v} for v in sorted(greedy)[:3]]
         sets.append(solve_mis(g, SolveConfig(), solver_catalog9).independent_set)
         for s in sets:
-            assert find_from_catalog(g, s, only_paths) is None
-            smask = mask_of(s)
-            embeds = [reference_embed_entry(g, smask, e.graph) for e in paths]
-            if find_augmenting_path(g, s) is None:
+            state = state_of(g, s)
+            assert find_from_catalog(g, state, only_paths) is None
+            embeds = [reference_embed_entry(g, state.smask, e.graph) for e in paths]
+            if find_augmenting_path(g, state) is None:
                 misses += 1
                 assert embeds == [None] * len(paths)
             else:
@@ -750,11 +761,12 @@ def test_final_round_scan_follows_catalogue_identity(solver_catalog9):
         if e.graph.graph.num_edges == 6
     )
     assert len(k23_entry) == 1
+    state = round_state(k23, 0b11)
     for _ in range(20):
         only_k23 = Catalog(5, (), k23_entry)
-        assert find_from_catalog(k23, {0, 1}, only_k23) is not None
+        assert find_from_catalog(k23, state, only_k23) is not None
         empty = Catalog(5, (), ())
-        assert find_from_catalog(k23, {0, 1}, empty) is None
+        assert find_from_catalog(k23, state, empty) is None
 
 
 def maximal_sets(g, seed):
@@ -830,7 +842,7 @@ def test_fit_index_admits_what_the_count_check_admits(
         sets.append(solve_mis(g, SolveConfig(), solver_catalog9).independent_set)
         for s in sets:
             smask = mask_of(s)
-            state = finders.round_state(g, s)
+            state = round_state(g, smask)
             fit, _ = finders._admitted(scan, g, state)
             assert fit == reference_admitted(g, smask, scan)
             admitted += fit.bit_count()
@@ -845,10 +857,10 @@ def test_fit_index_admits_what_the_count_check_admits(
                 ),
                 None,
             )
-            got = find_from_catalog(g, s, solver_catalog9, state)
-            assert (got and got.detail) == want
+            got = find_from_catalog(g, state, solver_catalog9)
+            assert (got and candidate_code(g, got)) == want
             if got is not None:
-                assert verdict(g, s, got)
+                assert verdict(g, smask, got)
                 hits += 1
     assert admitted and hits
 
@@ -889,20 +901,21 @@ def test_fit_index_computes_claw_centres_only_when_needed(
     # T3 with S its middles: the entries still admitted have no white of
     # degree 3 or more, so no claw centre is computed
     t3 = subdivided_star(3)
-    mids = frozenset({1, 2, 3})
+    mids = state_of(t3, {1, 2, 3})
     assert find_augmenting_path(t3, mids) is None
     assert find_from_catalog(t3, mids, solver_catalog9) is not None
     assert calls == []
     # K(2,3) with S its 2-side is itself an entry with whites of degree 3
     k23 = complete_bipartite(2, 3)
-    assert find_from_catalog(k23, {0, 1}, solver_catalog9) is not None
+    state = round_state(k23, 0b11)
+    assert find_from_catalog(k23, state, solver_catalog9) is not None
     assert len(calls) == 1
 
 
 def test_round_state_classes(class_graphs7):
     for g in round_graphs(class_graphs7):
         for s in maximal_sets(g, g.n):
-            state = finders.round_state(g, s)
+            state = state_of(g, s)
             rest = [v for v in range(g.n) if v not in s]
             degree = {v: sum(1 for u in s if g.has_edge(u, v)) for v in rest}
             assert state.smask == mask_of(s)
@@ -923,41 +936,20 @@ def test_round_state_classes(class_graphs7):
                 )
 
 
-def test_finders_agree_with_and_without_a_round_state(
-    class_graphs7, solver_catalog9
-):
-    found = Counter()
-    graphs = round_graphs(class_graphs7) + small_star_instances()
-    for g in graphs:
-        greedy = greedy_initial(g)
-        for s in maximal_sets(g, g.n) + [greedy - {min(greedy)}]:
-            state = finders.round_state(g, s)
-            for name, finder in (
-                ("path", lambda st: find_augmenting_path(g, s, st)),
-                ("tree", lambda st: find_tree_extension(g, s, 3, st)),
-                ("catalog", lambda st: find_from_catalog(g, s, solver_catalog9, st)),
-            ):
-                got = finder(state)
-                assert got == finder(None)
-                found[name] += got is not None
-    assert all(found[name] for name in ("path", "tree", "catalog"))
-
-
 def test_finders_read_the_round_state():
     # with every S-degree class emptied, no finder sees a candidate,
-    # though each would find one from a state of its own
-    def empty(g, s):
-        smask = mask_of(s)
+    # though each finds one from the round state of the same S
+    def empty(g, smask):
         return finders.RoundState(smask, ((1 << g.n) - 1) & ~smask, [0] * (g.n + 3))
 
     p3 = path_graph(3)
-    assert find_augmenting_path(p3, {1}) is not None
-    assert find_augmenting_path(p3, {1}, empty(p3, {1})) is None
+    assert find_augmenting_path(p3, round_state(p3, 0b10)) is not None
+    assert find_augmenting_path(p3, empty(p3, 0b10)) is None
     t5 = subdivided_star(5)
-    mids = frozenset(range(1, 6))
-    assert find_tree_extension(t5, mids, 3) is not None
-    assert find_tree_extension(t5, mids, 3, empty(t5, mids)) is None
+    mids = mask_of(range(1, 6))
+    assert find_tree_extension(t5, round_state(t5, mids), 3) is not None
+    assert find_tree_extension(t5, empty(t5, mids), 3) is None
     k23 = complete_bipartite(2, 3)
     cat = enumerate_irreducible(5)
-    assert find_from_catalog(k23, {0, 1}, cat) is not None
-    assert find_from_catalog(k23, {0, 1}, cat, empty(k23, {0, 1})) is None
+    assert find_from_catalog(k23, round_state(k23, 0b11), cat) is not None
+    assert find_from_catalog(k23, empty(k23, 0b11), cat) is None

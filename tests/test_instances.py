@@ -21,6 +21,8 @@ from augmis import (
     path_graph,
     plant_augmenting_tree,
 )
+from augmis.finders import round_state
+from augmis.graphs import mask_of
 from augmis.instances import GenerationError
 from conftest import graphs_st, petersen, verdict
 
@@ -167,8 +169,9 @@ def test_plant_grid(k, p, extras):
         assert is_independent(g, s)
         assert is_free(g, [Pattern("S", (1, 1, 3)), Pattern("K", (p, p))])
         assert brute_force_mis(g).alpha == len(s) + 1
-        cand = find_tree_extension(g, s, p)
-        assert cand is not None and verdict(g, s, cand)
+        smask = mask_of(s)
+        cand = find_tree_extension(g, round_state(g, smask), p)
+        assert cand is not None and verdict(g, smask, cand)
 
 
 def test_plant_noise_keeps_guarantees():
@@ -176,7 +179,7 @@ def test_plant_noise_keeps_guarantees():
     g, s = plant_augmenting_tree(spec)
     assert is_free(g, [Pattern("S", (1, 1, 3)), Pattern("K", (3, 3))])
     assert brute_force_mis(g).alpha == len(s) + 1
-    assert find_tree_extension(g, s, 3) is not None
+    assert find_tree_extension(g, round_state(g, mask_of(s)), 3) is not None
 
 
 def test_plant_infeasible_noise():

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import os
 import tracemalloc
 from itertools import combinations
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from augmis import (
-    AugCandidate,
     Graph,
     Pattern,
+    PlantSpec,
     SolveConfig,
     brute_force_mis,
     class_patterns,
@@ -25,6 +26,7 @@ from augmis import (
     is_irreducible,
     line_graph,
     path_graph,
+    plant_augmenting_tree,
     solve_mis,
 )
 import augmis
@@ -32,6 +34,7 @@ import augmis.finders as finders
 import augmis.irreducible as irreducible
 import augmis.solver as solver
 from augmis.enumeration import grow_graphs
+from augmis.graphs import mask_of
 from augmis.io import GraphFormatError, write_catalog
 from augmis.irreducible import Catalog, decode_catalog_code
 from augmis.solver import (
@@ -65,14 +68,15 @@ def test_greedy_is_maximal_independent(g):
 
 
 def test_augment_examples():
-    # an augmenting candidate is applied as (S - whites) | blacks
+    # an augmenting candidate (wmask, bmask) is applied as
+    # S & ~wmask | bmask; sets as masks, 0b101 is {0, 2}
     p3 = path_graph(3)
-    c = AugCandidate(frozenset({1}), frozenset({0, 2}), "x")
-    assert verdict(p3, {1}, c) and ({1} - c.whites) | c.blacks == {0, 2}
+    wmask, bmask = 0b10, 0b101
+    assert verdict(p3, 0b10, (wmask, bmask)) and 0b10 & ~wmask | bmask == 0b101
     g = Graph(3, [(0, 1)])
-    c = AugCandidate(frozenset(), frozenset({2}), "x")
-    assert verdict(g, {0}, c) and ({0} - c.whites) | c.blacks == {0, 2}
-    assert not verdict(p3, {1}, AugCandidate(frozenset({1}), frozenset({0}), "x"))
+    wmask, bmask = 0, 0b100
+    assert verdict(g, 0b1, (wmask, bmask)) and 0b1 & ~wmask | bmask == 0b101
+    assert not verdict(p3, 0b10, (0b10, 0b1))
 
 
 @settings(max_examples=150)
@@ -87,8 +91,7 @@ def test_augment_grows_independent_sets(g, data):
     if len(rest) < k + 1:
         return
     blacks = frozenset(data.draw(st.permutations(rest))[: k + 1])
-    cand = AugCandidate(whites, blacks, "x")
-    if not verdict(g, s, cand):
+    if not verdict(g, mask_of(s), (mask_of(whites), mask_of(blacks))):
         return
     out = (s - whites) | blacks
     assert is_independent(g, out)
@@ -108,6 +111,48 @@ def test_solve_deterministic(solver_catalog9):
     b = solve_mis(g, catalog=solver_catalog9)
     assert a.independent_set == b.independent_set
     assert a.finder_hits == b.finder_hits
+
+
+def pinned_corpus():
+    """(graph, p) pairs whose solve outputs are pinned: the class graphs
+    with n <= 7, seeded random class graphs on 10-21 vertices, planted
+    star extensions as generated and relabelled so that greedy starts
+    from the planted set, and K(1,5) + P(15)."""
+    for g in grow_graphs(7, free_of=class_patterns(3)):
+        yield g, 3
+    for n in range(10, 22):
+        for seed in range(6):
+            yield gen_free_random(n, 0.3, class_patterns(3), 100 * n + seed), 3
+    for p in (2, 3):
+        for k in range(p + 2, p + 5):
+            for extras in range(0, 2 * p + 1, 2):
+                for seed in range(2):
+                    spec = PlantSpec(k, p, extras, min(extras, 1), seed)
+                    g, s = plant_augmenting_tree(spec)
+                    order = sorted(s) + [v for v in range(g.n) if v not in s]
+                    new = {old: i for i, old in enumerate(order)}
+                    yield g, p
+                    yield Graph(g.n, [(new[u], new[v]) for u, v in g.edges()]), p
+    edges = [(0, i) for i in range(1, 6)] + [(i, i + 1) for i in range(6, 19)]
+    yield Graph(20, edges), 3
+
+
+def test_solve_outputs_are_pinned():
+    # a sha256 over (sorted set, iterations, finder hits) of every solve,
+    # in corpus order: a change of which augmentation a finder returns
+    # shows here even where alpha stays the same
+    h = hashlib.sha256()
+    count = 0
+    hits = {"path": 0, "tree": 0, "catalog": 0}
+    for g, p in pinned_corpus():
+        r = solve_mis(g, SolveConfig(p=p))
+        out = (sorted(r.independent_set), r.iterations, sorted(r.finder_hits.items()))
+        h.update(repr(out).encode())
+        count += 1
+        for name, c in r.finder_hits.items():
+            hits[name] += c
+    assert (count, h.hexdigest()[:16]) == (1095, "93d6af17e9febc7f")
+    assert hits == {"path": 523, "tree": 42, "catalog": 156}
 
 
 def test_class_patterns_flag_out_of_class_input(solver_catalog9):
@@ -423,18 +468,19 @@ def test_solve_rejects_a_candidate_that_does_not_augment(
 
         return patched
 
+    smask = mask_of({0, 6})
     for rule, (whites, blacks) in cases.items():
-        cand = AugCandidate(frozenset(whites), frozenset(blacks), "x")
+        cand = (mask_of(whites), mask_of(blacks))
         if rule in ("white outside S", "black inside S"):
             with pytest.raises(ValueError):
-                is_augmenting(g, {0, 6}, cand)
+                is_augmenting(g, smask, cand)
         else:
-            assert not is_augmenting(g, {0, 6}, cand)
+            assert not is_augmenting(g, smask, cand)
         monkeypatch.setattr(solver, finder, first_call_returns(cand))
         with pytest.raises(ValueError, match="does not augment"):
             solve_mis(g, catalog=solver_catalog9)
     # the same wiring applies a good candidate
-    good = AugCandidate(frozenset({0}), frozenset({2, 3}), "x")
+    good = (mask_of({0}), mask_of({2, 3}))
     monkeypatch.setattr(solver, finder, first_call_returns(good))
     r = solve_mis(g, catalog=solver_catalog9)
     assert r.independent_set == {2, 3, 4, 6} and r.iterations == 1
@@ -458,9 +504,12 @@ def test_brute_force_memo_is_freed_on_return():
 
 
 def test_one_augmentation_verdict_in_the_package():
-    # the set-based verdict and the wrappers only tests reached are gone;
-    # finders.augments is the one verdict
+    # the set-based verdict, the wrappers only tests reached and the
+    # set-based candidate are gone; finders.augments is the one verdict,
+    # on the (wmask, bmask) pairs the finders return
     gone = {
+        "AugCandidate": finders,
+        "VertexSet": finders,
         "is_augmenting": finders,
         "augment": solver,
         "greedy_initial": solver,
