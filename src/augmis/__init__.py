@@ -39,9 +39,11 @@ from .irreducible import (
     is_irreducible,
 )
 from .finders import (
+    RoundState,
     find_augmenting_path,
     find_from_catalog,
     find_tree_extension,
+    round_state,
 )
 from .solver import (
     MisResult,

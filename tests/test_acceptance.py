@@ -31,12 +31,13 @@ from augmis import (
     max_matching_size,
     path_graph,
     plant_augmenting_tree,
+    round_state,
     solve_mis,
     subdivided_star,
     verify_min_classes,
 )
 from augmis.enumeration import grow_bicolored_raw, grow_graphs
-from augmis.finders import augments, round_state
+from augmis.finders import augments
 from augmis.graphs import mask_of
 from augmis.io import format_catalog
 from augmis.verify import (

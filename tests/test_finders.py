@@ -9,8 +9,10 @@ The path finder is compared, candidate for candidate, with the unpruned
 path search kept here as a reference.  The catalogue finder leaves the
 path entries to the path finder; the reference backtracker checks that
 none of them embeds on any set the catalogue scans in ``solve_mis``.
-The catalogue's fit index is compared with a per-entry count check, and
-the round state with S-degrees, both recomputed here vertex by vertex.
+The catalogue's fit index is compared with a per-entry count check and
+white-degree check, and the round state with S-degrees, all recomputed
+here vertex by vertex.  Every maximal set of every class graph with
+n <= 7 gets a finder hit iff it is below alpha.
 """
 
 import gc
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 from augmis import (
     Graph,
     Pattern,
+    brute_force_mis,
     complete_bipartite,
     complete_graph,
     enumerate_irreducible,
@@ -37,13 +40,13 @@ from augmis import (
     path_graph,
     plant_augmenting_tree,
     PlantSpec,
+    round_state,
     solve_mis,
     subdivided_star,
 )
 import augmis.finders as finders
 import augmis.solver as solver
 from augmis.enumeration import grow_graphs
-from augmis.finders import round_state
 from augmis.irreducible import Catalog, ColoredBipartite
 from augmis.graphs import bits, mask_of, set_of
 from augmis.solver import SolveConfig, class_patterns
@@ -615,19 +618,20 @@ def test_catalog_plans_compile_once(monkeypatch, solver_catalog9):
     # one plan per entry that is not a path: all but P1, P3, P5 and P7
     assert len(compiled) == 231 == len(solver_catalog9) - 4
     _, scan = finders._SCANS[id(solver_catalog9)]
-    assert [plan for _, plan in scan.items] == compiled
+    assert scan.plans == compiled
     # the fit index is built with the scan: upto[m] holds the entries
     # with at most m vertices, and fits[c] of domain k the entries that
     # place at most c vertices there (whites in S, whites of degree 3 or
     # more among the claw centres, blacks of degree d outside S)
     assert scan is finders._scan_of(solver_catalog9)
-    sizes = [entry.graph.graph.n for entry, _ in scan.items]
+    entries = scanned_entries(solver_catalog9)
+    sizes = [entry.graph.graph.n for entry in entries]
     assert scan.upto == [
         mask_of(i for i, hn in enumerate(sizes) if hn <= m)
         for m in range(max(sizes) + 1)
     ]
     needs = []
-    for entry, _ in scan.items:
+    for entry in entries:
         h = entry.graph
         whites = [v for v in range(h.graph.n) if v not in h.black]
         need = Counter(2 + h.graph.degree(b) for b in h.black)
@@ -641,9 +645,18 @@ def test_catalog_plans_compile_once(monkeypatch, solver_catalog9):
             mask_of(i for i, need in enumerate(needs) if need[k] <= c)
             for c in range(max(need[k] for need in needs) + 1)
         ]
+    # whites[r][c] holds the entries whose r-th largest white degree
+    # (r from 0) is at most c, or that have at most r whites
+    wdegs = [sorted(white_degrees(e), reverse=True) for e in entries]
+    assert len(scan.whites) == max(map(len, wdegs))
+    for r, fits in enumerate(scan.whites):
+        assert fits == [
+            mask_of(i for i, ws in enumerate(wdegs) if len(ws) <= r or ws[r] <= c)
+            for c in range(max(ws[0] for ws in wdegs) + 1)
+        ]
     # each compiled plan starts at a black of maximum degree and every
     # later vertex attaches to an already-placed one
-    for entry, plan in scan.items:
+    for entry, plan in zip(entries, scan.plans):
         assert not is_path_entry(entry)
         h = entry.graph
         first = plan.order[0]
@@ -660,20 +673,36 @@ def path_entries(catalog):
     return tuple(e for e in catalog.entries if is_path_entry(e))
 
 
+def scanned_entries(catalog):
+    """The entries the catalogue finder scans, in scan order: bit i of
+    a fit mask stands for the i-th."""
+    return tuple(e for e in catalog.entries if not is_path_entry(e))
+
+
+def white_degrees(entry):
+    h = entry.graph
+    return [h.graph.degree(w) for w in range(h.graph.n) if w not in h.black]
+
+
+def planted_host(k, extras, seed):
+    """A planted star extension at p = 3, relabelled so that greedy
+    takes the k middles."""
+    g, _ = plant_augmenting_tree(PlantSpec(k=k, p=3, extras=extras, seed=seed))
+    order = list(range(1, k + 1)) + [0] + list(range(k + 1, g.n))
+    perm = [0] * g.n
+    for new, old in enumerate(order):
+        perm[old] = new
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def small_star_instances():
     """Planted star extensions, relabelled so that greedy takes the
     middles, and K(1,5) + P(L) graphs, where the star finder misses."""
-    out = []
-    for extras in range(3):
-        for seed in range(3):
-            g, _ = plant_augmenting_tree(
-                PlantSpec(k=5, p=3, extras=extras, seed=seed)
-            )
-            order = list(range(1, 6)) + [0] + list(range(6, g.n))
-            perm = [0] * g.n
-            for new, old in enumerate(order):
-                perm[old] = new
-            out.append(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+    out = [
+        planted_host(5, extras, seed)
+        for extras in range(3)
+        for seed in range(3)
+    ]
     for length in range(4, 10):
         n = 6 + length
         edges = [(0, i) for i in range(1, 6)]
@@ -747,7 +776,7 @@ def test_final_round_scan_follows_catalogue_identity(solver_catalog9):
         got = solve_mis(g, SolveConfig(), cat)
         assert got == want and got.finder_hits == want.finder_hits
         ref, scan = finders._SCANS[id(cat)]
-        assert ref() is cat and len(scan.items) == 231
+        assert ref() is cat and len(scan.plans) == 231
         assert scan.upto[-1] == (1 << 231) - 1
     # a scan dies with its catalogue, so an id the allocator hands out
     # again never finds the scan of an earlier catalogue
@@ -795,12 +824,17 @@ def round_graphs(class_graphs7):
     return seeded_line_graphs() + class_graphs7[::10] + free
 
 
-def reference_admitted(g, smask, scan):
-    """Scan positions whose entries pass the per-entry count check,
-    recomputed vertex by vertex: at most n vertices, at least as many S
-    vertices as whites and claw centres as whites of degree 3 or more,
-    and per degree d at least as many vertices outside S with d
-    S-neighbours as blacks of degree d."""
+def reference_admitted(g, smask, entries):
+    """Positions in ``entries`` that pass the per-entry count check,
+    recomputed vertex by vertex, before and after the white-degree
+    check.
+
+    The count check: at most n vertices, at least as many S vertices as
+    whites and claw centres as whites of degree 3 or more, and per
+    degree d at least as many vertices outside S with d S-neighbours as
+    blacks of degree d.  The white-degree check: for every d at least as
+    many S vertices of degree d or more as whites of degree d or
+    more."""
     rest = [v for v in range(g.n) if not smask >> v & 1]
     s_vertices = [v for v in range(g.n) if smask >> v & 1]
     s_degree = Counter(
@@ -816,27 +850,39 @@ def reference_admitted(g, smask, scan):
             )
         )
     )
-    out = 0
-    for i, (entry, _) in enumerate(scan.items):
+    counted = []
+    for i, entry in enumerate(entries):
         h = entry.graph
         hg = h.graph
-        whites = [v for v in range(hg.n) if v not in h.black]
         need = Counter(hg.degree(b) for b in h.black)
+        wdeg = white_degrees(entry)
         if (
             hg.n <= g.n
-            and len(whites) <= len(s_vertices)
-            and sum(hg.degree(w) >= 3 for w in whites) <= claws
+            and len(wdeg) <= len(s_vertices)
+            and sum(w >= 3 for w in wdeg) <= claws
             and all(c <= s_degree[d] for d, c in need.items())
         ):
+            counted.append(i)
+    white_degree = [
+        sum(1 for v in rest if g.has_edge(u, v)) for u in s_vertices
+    ]
+    out = 0
+    for i in counted:
+        wdeg = white_degrees(entries[i])
+        if all(
+            sum(x >= d for x in white_degree) >= sum(w >= d for w in wdeg)
+            for d in range(1, max(wdeg) + 1)
+        ):
             out |= 1 << i
-    return out
+    return mask_of(counted), out
 
 
 def test_fit_index_admits_what_the_count_check_admits(
     class_graphs7, solver_catalog9
 ):
     scan = finders._scan_of(solver_catalog9)
-    admitted = hits = 0
+    entries = scanned_entries(solver_catalog9)
+    admitted = hits = refused_by_whites = 0
     for g in round_graphs(class_graphs7):
         sets = maximal_sets(g, g.n)
         sets.append(solve_mis(g, SolveConfig(), solver_catalog9).independent_set)
@@ -844,16 +890,21 @@ def test_fit_index_admits_what_the_count_check_admits(
             smask = mask_of(s)
             state = round_state(g, smask)
             fit, _ = finders._admitted(scan, g, state)
-            assert fit == reference_admitted(g, smask, scan)
+            counted, want_fit = reference_admitted(g, smask, entries)
+            assert fit == want_fit
             admitted += fit.bit_count()
-            # the first admitted entry that embeds, by the reference
-            # backtracker, is the one the finder returns
+            # the white-degree rows are exact: no entry they refuse
+            # embeds, by the reference backtracker
+            for i in bits(counted & ~fit):
+                assert reference_embed_entry(g, smask, entries[i].graph) is None
+                refused_by_whites += 1
+            # the first admitted entry that embeds is the one the finder
+            # returns
             want = next(
                 (
-                    entry.code
-                    for i, (entry, _) in enumerate(scan.items)
-                    if fit >> i & 1
-                    and reference_embed_entry(g, smask, entry.graph)
+                    entries[i].code
+                    for i in bits(fit)
+                    if reference_embed_entry(g, smask, entries[i].graph)
                 ),
                 None,
             )
@@ -862,7 +913,90 @@ def test_fit_index_admits_what_the_count_check_admits(
             if got is not None:
                 assert verdict(g, smask, got)
                 hits += 1
-    assert admitted and hits
+    assert admitted and hits and refused_by_whites
+
+
+def test_planted_final_round_runs_no_search(monkeypatch, solver_catalog9):
+    # on a planted host the star finder hits, and the final round's
+    # catalogue scan misses; the domain rows admit entries there, but the
+    # white-degree rows refuse every one, so no search runs
+    searches = []
+    real_search = finders._search
+    white_fits = []
+    real_white_fit = finders._white_fit
+
+    def counting_search(*args):
+        searches.append(args[0])
+        return real_search(*args)
+
+    def recording_white_fit(scan, adj, smask, fit):
+        out = real_white_fit(scan, adj, smask, fit)
+        white_fits.append((fit, out))
+        return out
+
+    monkeypatch.setattr(finders, "_search", counting_search)
+    monkeypatch.setattr(finders, "_white_fit", recording_white_fit)
+    hosts = [
+        planted_host(k, extras, seed)
+        for k in (5, 6, 7)
+        for extras in (0, 1)
+        for seed in range(4)
+    ]
+    for g in hosts:
+        res = solve_mis(g, SolveConfig(), solver_catalog9)
+        assert res.finder_hits["tree"] >= 1 and res.finder_hits["catalog"] == 0
+    assert searches == []
+    assert white_fits and all(fit and not out for fit, out in white_fits)
+
+
+def maximal_masks(g):
+    """Every maximal independent set of ``g``, as a bitmask."""
+    full = (1 << g.n) - 1
+    out = []
+    for m in range(1 << g.n):
+        covered = m
+        for v in bits(m):
+            if g.adj[v] & m:
+                break
+            covered |= g.adj[v]
+        else:
+            if covered == full:
+                out.append(m)
+    return out
+
+
+def first_hit(g, state, catalog):
+    """The first finder, in solve order, whose candidate augments S, or
+    None."""
+    finds = (
+        ("path", lambda: find_augmenting_path(g, state)),
+        ("tree", lambda: find_tree_extension(g, state, 3)),
+        ("catalog", lambda: find_from_catalog(g, state, catalog)),
+    )
+    for name, find in finds:
+        cand = find()
+        if cand is not None and verdict(g, state.smask, cand):
+            return name
+    return None
+
+
+def test_every_maximal_set_of_a_class_graph_n7(class_graphs7, solver_catalog9):
+    # Berge: S is maximum iff nothing augments it.  In the class, every
+    # maximal S below alpha has a path, star extension or catalogue
+    # entry that augments it, so some finder's candidate passes the
+    # verdict iff |S| < alpha.  The 938 class graphs with n <= 7 hold
+    # 5,123 maximal sets, 2,278 of them below alpha; the check takes
+    # about 0.13 s (2 shared cores, Python 3.11.7).
+    hits = Counter()
+    for g in class_graphs7:
+        alpha = brute_force_mis(g).alpha
+        for smask in maximal_masks(g):
+            finder = first_hit(g, round_state(g, smask), solver_catalog9)
+            assert (finder is not None) == (smask.bit_count() < alpha)
+            hits[finder] += 1
+    assert sum(hits.values()) == 5123 and hits[None] == 5123 - 2278
+    # a star extension needs 11 vertices at p = 3
+    assert hits["path"] and hits["catalog"] and not hits["tree"]
 
 
 @settings(max_examples=200)

@@ -20,8 +20,8 @@ from augmis import (
     max_matching_size,
     path_graph,
     plant_augmenting_tree,
+    round_state,
 )
-from augmis.finders import round_state
 from augmis.graphs import mask_of
 from augmis.instances import GenerationError
 from conftest import graphs_st, petersen, verdict
